@@ -1,19 +1,20 @@
 // Ablation for DESIGN.md decision 2: the explicit (sorted-vector) set-family
-// representation versus the BDD-backed one, on the full GPO analysis and on
-// the construction of the initial valid-set family r0 alone. The explicit
-// family enumerates every maximal conflict-free set (exponential in the
-// number of choice points), the BDD family builds r0 from polynomial-size
-// constraints — the measurements below show where the crossover sits.
+// oracle versus the ZDD store of the `gpo` engine, on the full GPO analysis
+// and on the construction of the initial valid-set family r0 alone. The
+// explicit family enumerates every maximal conflict-free set (exponential
+// in the number of choice points), the ZDD builds r0 as a product of
+// per-component factors — the measurements below show where the crossover
+// sits.
 #include <benchmark/benchmark.h>
 
 #include "core/gpo.hpp"
 #include "core/set_family.hpp"
+#include "core/zdd_family.hpp"
 #include "models/models.hpp"
 #include "petri/conflict.hpp"
 
 namespace {
 
-using gpo::core::FamilyKind;
 using gpo::petri::PetriNet;
 
 PetriNet model_for(int id, int n) {
@@ -35,23 +36,23 @@ const char* model_name(int id) {
 }
 
 void BM_GpoAnalysis(benchmark::State& state) {
-  FamilyKind kind = state.range(0) == 0 ? FamilyKind::kExplicit
-                                        : FamilyKind::kBdd;
+  const bool use_zdd = state.range(0) == 1;
   PetriNet net = model_for(static_cast<int>(state.range(1)),
                            static_cast<int>(state.range(2)));
   gpo::core::GpoOptions opt;
   opt.max_seconds = 30;
   for (auto _ : state) {
-    auto r = gpo::core::run_gpo(net, kind, opt);
+    auto r = use_zdd ? gpo::core::run_gpo(net, opt)
+                     : gpo::core::run_gpo_explicit(net, opt);
     benchmark::DoNotOptimize(r.state_count);
     state.counters["gpn_states"] = static_cast<double>(r.state_count);
   }
   state.SetLabel(std::string(model_name(static_cast<int>(state.range(1)))) +
                  "(" + std::to_string(state.range(2)) + ")/" +
-                 gpo::core::family_kind_name(kind));
+                 (use_zdd ? "zdd" : "explicit"));
 }
 
-// family kind {0 explicit, 1 bdd} x model x size
+// family store {0 explicit, 1 zdd} x model x size
 BENCHMARK(BM_GpoAnalysis)
     ->Args({0, 0, 2})->Args({1, 0, 2})    // NSDP(2)
     ->Args({0, 0, 4})->Args({1, 0, 4})    // NSDP(4)
@@ -65,13 +66,13 @@ BENCHMARK(BM_GpoAnalysis)
     ->Unit(benchmark::kMillisecond);
 
 void BM_InitialValidSets(benchmark::State& state) {
-  bool use_bdd = state.range(0) == 1;
+  const bool use_zdd = state.range(0) == 1;
   PetriNet net = gpo::models::make_conflict_chain(
       static_cast<std::size_t>(state.range(1)));
   gpo::petri::ConflictInfo ci(net);
   for (auto _ : state) {
-    if (use_bdd) {
-      gpo::core::BddFamily::Context ctx(net.transition_count());
+    if (use_zdd) {
+      gpo::core::ZddFamily::Context ctx(net.transition_count());
       auto r0 = ctx.initial_valid_sets(ci);
       benchmark::DoNotOptimize(r0.count());
     } else {
@@ -81,7 +82,7 @@ void BM_InitialValidSets(benchmark::State& state) {
     }
   }
   state.SetLabel(std::string("chain(") + std::to_string(state.range(1)) +
-                 ")/" + (use_bdd ? "bdd" : "explicit"));
+                 ")/" + (use_zdd ? "zdd" : "explicit"));
 }
 
 BENCHMARK(BM_InitialValidSets)

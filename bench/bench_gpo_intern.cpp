@@ -1,80 +1,62 @@
-// Family-storage ablation driver: runs the GPO engine three times per model —
-// the seed ExplicitFamily path (deep-copied families, per-probe re-hashing),
-// FamilyKind::kInterned (hash-consed families, memoized op cache), and the
-// ZDD-backed store (--family-store zdd: one canonical diagram per family) —
-// over the Fig-1 diamond, Fig-2 conflict chain and the four Table-1 families,
-// checks the verdicts match, and emits BENCH_gpo.json so the perf/memory
-// trajectory can be charted across PRs.
+// Family-store benchmark: runs the GPO search twice per model — the
+// paper-literal explicit oracle (sorted vectors of transition sets) and the
+// `gpo` engine (one canonical ZDD per family) — over the Fig-1 diamond, the
+// Fig-2 conflict chain and the four Table-1 families, checks that both do
+// the identical search, and emits BENCH_gpo.json so the perf/memory
+// trajectory can be charted across changes.
 //
 // Usage: bench_gpo_intern [--smoke] [--slow] [--max-seconds S] [--out FILE]
-//                         [--report FILE] [--parallel-out FILE]
+//                         [--report FILE]
 //   --smoke         small instances + tight budget (CI bench-smoke job)
-//   --slow          also run zdd-only memory-wall rows (nsdp:10, chain:18)
-//                   that the explicit backends cannot hold in RAM
-//   --max-seconds   per-engine wall-clock budget (default 60)
+//   --slow          also run gpo-only memory-wall rows (nsdp:10, chain:18)
+//                   that the explicit oracle cannot hold in RAM
+//   --max-seconds   per-run wall-clock budget (default 60)
 //   --out           JSON output path (default BENCH_gpo.json)
 //   --report        also write the schema-stable run report shared with
 //                   `julie --report` (bench/report_schema.json)
-//   --parallel-out  also sweep the work-stealing engine over 1/2/4/8 threads
-//                   and emit the scaling rows (BENCH_gpo_parallel.json)
 //
-// JSON schema (schema_version 4):
-//   { "schema_version": 4, "benchmark": "bench_gpo_intern", "smoke": bool,
+// JSON schema (schema_version 5):
+//   { "schema_version": 5, "benchmark": "bench_gpo_intern", "smoke": bool,
 //     "models": [ { "model": str, "states": int, "seed_wall_ms": float,
-//                   "interned_wall_ms": float, "zdd_wall_ms": float,
-//                   "speedup": float, "mcs_enum_ms": float,
-//                   "family_ops_ms": float, "intern_wait_ns_p50": int,
-//                   "intern_wait_ns_p99": int, "peak_families": int,
-//                   "intern_calls": int, "dedup_ratio": float,
+//                   "gpo_wall_ms": float, "speedup": float,
+//                   "mcs_enum_ms": float, "family_ops_ms": float,
 //                   "op_cache_hit_rate": float, "families_bytes": int,
-//                   "zdd_families_bytes": int, "zdd_nodes": int,
-//                   "peak_rss_bytes": int, "zdd_only": bool,
-//                   "reduce_ms": float, "reduced_places": int,
-//                   "reduced_transitions": int, "reduced_wall_ms": float,
-//                   "reduced_speedup": float,
+//                   "zdd_nodes": int, "peak_rss_bytes": int,
+//                   "gpo_only": bool, "reduce_ms": float,
+//                   "reduced_places": int, "reduced_transitions": int,
+//                   "reduced_wall_ms": float, "reduced_speedup": float,
 //                   "verdicts_match": bool } ] }
-//   The per-phase columns split the interned run's wall: mcs_enum_ms is the
-//   candidate-MCS enumeration (plan_expansion incl. trial m_updates, the
-//   engine's mcs_seconds timer), family_ops_ms the deadlock checks plus
-//   successor construction (family_ops_seconds). intern_wait_ns_p50/p99 are
-//   genuine wait episodes inside the lock-free interner (publish-spins,
-//   migration waits) — 0 when the run never waited, which is the expected
-//   sequential value.
-//   zdd_only rows skip the explicit/interned runs (their seed/interned
-//   columns are 0) — they exist to chart the memory wall the ZDD store
-//   breaks. peak_rss_bytes is the process high-water mark sampled after the
-//   row, so it is monotone down the table; read it as "the run up to and
-//   including this row fit in this much".
+//   seed_wall_ms is the explicit oracle's wall, gpo_wall_ms the `gpo`
+//   engine's, speedup their ratio. The per-phase columns split the gpo
+//   run's wall: mcs_enum_ms is the candidate-MCS enumeration
+//   (plan_expansion incl. trial m_updates, the engine's mcs_seconds timer),
+//   family_ops_ms the deadlock checks plus successor construction
+//   (family_ops_seconds). families_bytes is the ZDD store's node arena +
+//   unique table + computed table at the end of the run.
+//   gpo_only rows skip the explicit oracle (seed_wall_ms 0) — they exist to
+//   chart the memory wall the ZDD store breaks. peak_rss_bytes is the
+//   process high-water mark sampled after the row, so it is monotone down
+//   the table; read it as "the run up to and including this row fit in this
+//   much".
 //   The reduced_* columns chart the net-reduction preprocessing pipeline
 //   (src/reduce/, level aggressive): reduce_ms is the pipeline wall,
-//   reduced_places/transitions the shrunk net, reduced_wall_ms the interned
+//   reduced_places/transitions the shrunk net, reduced_wall_ms the gpo
 //   engine re-run on the reduced net, and reduced_speedup the end-to-end
-//   ratio interned_wall_ms / (reduce_ms + reduced_wall_ms). The reduced
-//   run's verdict (and, on a deadlock, its certificate-mapped counterexample
+//   ratio gpo_wall_ms / (reduce_ms + reduced_wall_ms). The reduced run's
+//   verdict (and, on a deadlock, its certificate-mapped counterexample
 //   replayed on the original net) folds into verdicts_match, so any
-//   unsoundness in the pipeline fails the benchmark. zdd_only rows report
-//   the shrink but skip the reduced engine re-run (reduced_wall_ms 0).
-// Parallel sweep schema (schema_version 2):
-//   { "schema_version": 2, "benchmark": "bench_gpo_parallel", "smoke": bool,
-//     "host_cpus": int,
-//     "models": [ { "model": str, "threads": int, "states": int,
-//                   "wall_ms": float, "states_per_second": float,
-//                   "speedup_vs_1t": float, "steals": int,
-//                   "fork_tasks": int, "peak_frontier": int,
-//                   "verdict_matches_sequential": bool } ] }
-//   fork_tasks counts the intra-state range tasks the analyzer forked onto
-//   the pool (candidate checks, per-transition terms, reduction-tree
-//   levels) — the fine-grained layer that actually scales on the paper's
-//   2-18-state graphs where the per-state layer has nothing to steal.
+//   unsoundness in the pipeline fails the benchmark.
 // Exit status: 0 on success, 1 on any verdict mismatch.
 #include <cstdint>
 #include <cstring>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/gpo.hpp"
@@ -91,91 +73,79 @@ struct Row {
   std::string model;
   std::size_t states = 0;
   double seed_ms = 0;
-  double interned_ms = 0;
-  double zdd_ms = 0;
-  /// Interned-run phase split (from the engine's mcs_seconds /
-  /// family_ops_seconds timers) and interner wait-episode percentiles.
+  double gpo_ms = 0;
+  /// gpo-run phase split (the engine's mcs_seconds / family_ops_seconds).
   double mcs_enum_ms = 0;
   double family_ops_ms = 0;
-  std::uint64_t intern_wait_ns_p50 = 0;
-  std::uint64_t intern_wait_ns_p99 = 0;
-  std::size_t peak_families = 0;
-  std::size_t intern_calls = 0;
-  double dedup_ratio = 0;
   double op_cache_hit_rate = 0;
   std::size_t families_bytes = 0;
-  std::size_t zdd_families_bytes = 0;
   std::size_t zdd_nodes = 0;
   /// Process high-water RSS after this row; monotone down the table.
   std::size_t peak_rss_bytes = 0;
-  /// Memory-wall row (--slow): only the ZDD backend ran.
-  bool zdd_only = false;
+  /// Memory-wall row (--slow): only the gpo engine ran.
+  bool gpo_only = false;
   bool verdicts_match = true;
   /// Net-reduction preprocessing (level aggressive): pipeline wall, shrunk
-  /// net, and the interned engine re-run on the reduced net.
+  /// net, and the gpo engine re-run on the reduced net.
   double reduce_ms = 0;
   std::size_t reduced_places = 0;
   std::size_t reduced_transitions = 0;
   double reduced_wall_ms = 0;
 
   [[nodiscard]] double speedup() const {
-    return interned_ms > 0 ? seed_ms / interned_ms : 0.0;
+    return gpo_ms > 0 && seed_ms > 0 ? seed_ms / gpo_ms : 0.0;
   }
-  /// End-to-end: unreduced interned run vs reduce + reduced interned run.
+  /// End-to-end: unreduced gpo run vs reduce + reduced gpo run.
   [[nodiscard]] double reduced_speedup() const {
     double total = reduce_ms + reduced_wall_ms;
-    return reduced_wall_ms > 0 && total > 0 ? interned_ms / total : 0.0;
+    return reduced_wall_ms > 0 && total > 0 ? gpo_ms / total : 0.0;
   }
 };
 
+/// Consolidates the allocator's free lists before a timed run. The oracle
+/// frees millions of small blocks on the larger rows; without this, the
+/// consolidation glibc defers to the next large request is charged to
+/// whichever run comes next.
+void settle_heap() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
+
 Row run_row(const std::string& label, const PetriNet& net, double budget,
-            bool zdd_only, gpo::obs::MetricsRegistry* reg,
+            bool gpo_only, gpo::obs::MetricsRegistry* reg,
             gpo::obs::RunReport* report) {
   Row row;
   row.model = label;
-  row.zdd_only = zdd_only;
+  row.gpo_only = gpo_only;
   gpo::core::GpoOptions opt;
   opt.max_seconds = budget;
   opt.metrics = reg;
 
-  gpo::core::GpoResult seed, interned;
-  if (!zdd_only) {
-    opt.metrics_prefix = "seed.";
-    gpo::util::Stopwatch seed_timer;
-    seed = gpo::core::run_gpo(net, gpo::core::FamilyKind::kExplicit, opt);
-    row.seed_ms = seed_timer.elapsed_seconds() * 1000.0;
-
-    opt.metrics_prefix = "intern.";
-    gpo::util::Stopwatch interned_timer;
-    interned = gpo::core::run_gpo(net, gpo::core::FamilyKind::kInterned, opt);
-    row.interned_ms = interned_timer.elapsed_seconds() * 1000.0;
-
-    if (reg != nullptr) {
-      row.mcs_enum_ms =
-          reg->value("intern.mcs_seconds").value_or(0.0) * 1000.0;
-      row.family_ops_ms =
-          reg->value("intern.family_ops_seconds").value_or(0.0) * 1000.0;
-      for (const auto& s : reg->snapshot("intern.intern_wait_ns")) {
-        if (s.kind != gpo::obs::MetricKind::kHistogram) continue;
-        row.intern_wait_ns_p50 =
-            static_cast<std::uint64_t>(s.p50 * 1e9 + 0.5);
-        row.intern_wait_ns_p99 =
-            static_cast<std::uint64_t>(s.p99 * 1e9 + 0.5);
-      }
-    }
+  opt.metrics_prefix = "gpo.";
+  settle_heap();
+  gpo::util::Stopwatch gpo_timer;
+  auto gz = gpo::core::run_gpo(net, opt);
+  row.gpo_ms = gpo_timer.elapsed_seconds() * 1000.0;
+  if (reg != nullptr) {
+    row.mcs_enum_ms = reg->value("gpo.mcs_seconds").value_or(0.0) * 1000.0;
+    row.family_ops_ms =
+        reg->value("gpo.family_ops_seconds").value_or(0.0) * 1000.0;
   }
 
-  opt.metrics_prefix = "zdd.";
-  opt.family_store = gpo::core::FamilyStore::kZdd;
-  gpo::util::Stopwatch zdd_timer;
-  auto zdd = gpo::core::run_gpo(net, gpo::core::FamilyKind::kExplicit, opt);
-  row.zdd_ms = zdd_timer.elapsed_seconds() * 1000.0;
-  opt.family_store = gpo::core::FamilyStore::kExplicit;
+  gpo::core::GpoResult seed;
+  if (!gpo_only) {
+    opt.metrics_prefix = "seed.";
+    settle_heap();
+    gpo::util::Stopwatch seed_timer;
+    seed = gpo::core::run_gpo_explicit(net, opt);
+    row.seed_ms = seed_timer.elapsed_seconds() * 1000.0;
+  }
 
   // Net-reduction preprocessing: shrink once (aggressive), then re-run the
-  // interned engine on the smaller net. The mapped counterexample must
-  // replay to a deadlock of the ORIGINAL net, so the bench doubles as a
-  // soundness check on the certificate machinery.
+  // gpo engine on the smaller net. The mapped counterexample must replay to
+  // a deadlock of the ORIGINAL net, so the bench doubles as a soundness
+  // check on the certificate machinery.
   bool reduced_ok = true;
   {
     gpo::reduce::ReduceOptions ro;
@@ -185,22 +155,20 @@ Row run_row(const std::string& label, const PetriNet& net, double budget,
     row.reduce_ms = reduce_timer.elapsed_seconds() * 1000.0;
     row.reduced_places = red.stats.places_after;
     row.reduced_transitions = red.stats.transitions_after;
-    if (!zdd_only) {
-      opt.metrics_prefix = "reduced.";
-      gpo::util::Stopwatch reduced_timer;
-      auto reduced = gpo::core::run_gpo(red.net,
-                                        gpo::core::FamilyKind::kInterned, opt);
-      row.reduced_wall_ms = reduced_timer.elapsed_seconds() * 1000.0;
-      // Verdicts are only comparable when both runs finished: a reduced run
-      // completing inside a budget the unreduced run blew is the point of
-      // the pipeline, not a mismatch.
-      if (!reduced.limit_hit && !interned.limit_hit)
-        reduced_ok = reduced.deadlock_found == interned.deadlock_found;
-      if (reduced.deadlock_found && !reduced.counterexample.empty()) {
-        auto mapped = red.certificate.map_to_original(reduced.counterexample);
-        auto end = gpo::reduce::replay_trace(net, mapped);
-        reduced_ok &= end.has_value() && net.is_deadlocked(*end);
-      }
+    opt.metrics_prefix = "reduced.";
+    settle_heap();
+    gpo::util::Stopwatch reduced_timer;
+    auto reduced = gpo::core::run_gpo(red.net, opt);
+    row.reduced_wall_ms = reduced_timer.elapsed_seconds() * 1000.0;
+    // Verdicts are only comparable when both runs finished: a reduced run
+    // completing inside a budget the unreduced run blew is the point of
+    // the pipeline, not a mismatch.
+    if (!reduced.limit_hit && !gz.limit_hit)
+      reduced_ok = reduced.deadlock_found == gz.deadlock_found;
+    if (reduced.deadlock_found && !reduced.counterexample.empty()) {
+      auto mapped = red.certificate.map_to_original(reduced.counterexample);
+      auto end = gpo::reduce::replay_trace(net, mapped);
+      reduced_ok &= end.has_value() && net.is_deadlocked(*end);
     }
   }
 
@@ -220,37 +188,23 @@ Row run_row(const std::string& label, const PetriNet& net, double budget,
       er.counters = gpo::obs::registry_to_json(*reg, prefix);
       report->add_engine(std::move(er));
     };
-    if (!zdd_only) {
-      add("gpo", seed, row.seed_ms / 1000.0, "seed.");
-      add("gpo-intern", interned, row.interned_ms / 1000.0, "intern.");
-    }
-    add("gpo-zdd-store", zdd, row.zdd_ms / 1000.0, "zdd.");
+    if (!gpo_only) add("gpo-explicit-oracle", seed, row.seed_ms / 1000.0, "seed.");
+    add("gpo", gz, row.gpo_ms / 1000.0, "gpo.");
   }
 
-  row.states = zdd.state_count;
-  row.zdd_families_bytes = zdd.family_stats.families_bytes;
-  row.zdd_nodes = zdd.family_stats.zdd_nodes;
-  if (!zdd_only) {
-    row.states = interned.state_count;
-    row.peak_families = interned.family_stats.distinct_families;
-    row.intern_calls = interned.family_stats.intern_calls;
-    row.dedup_ratio = interned.family_stats.dedup_ratio;
-    row.op_cache_hit_rate = interned.family_stats.op_cache_hit_rate;
-    row.families_bytes = interned.family_stats.families_bytes;
+  row.states = gz.state_count;
+  row.op_cache_hit_rate = gz.family_stats.op_cache_hit_rate;
+  row.families_bytes = gz.family_stats.families_bytes;
+  row.zdd_nodes = gz.family_stats.zdd_nodes;
+  if (!gpo_only) {
     // The ZDD enumerates witnesses in diagram order, so the counterexample
-    // is compared only between the two explicit backends; the zdd run must
-    // agree on everything order-independent.
-    row.verdicts_match = seed.state_count == interned.state_count &&
-                         seed.deadlock_found == interned.deadlock_found &&
-                         seed.multiple_steps == interned.multiple_steps &&
-                         seed.single_steps == interned.single_steps &&
-                         seed.counterexample == interned.counterexample &&
-                         !interned.limit_hit == !seed.limit_hit &&
-                         zdd.state_count == seed.state_count &&
-                         zdd.deadlock_found == seed.deadlock_found &&
-                         zdd.multiple_steps == seed.multiple_steps &&
-                         zdd.single_steps == seed.single_steps &&
-                         zdd.limit_hit == seed.limit_hit;
+    // is not compared; everything order-independent must agree.
+    row.verdicts_match = gz.state_count == seed.state_count &&
+                         gz.edge_count == seed.edge_count &&
+                         gz.deadlock_found == seed.deadlock_found &&
+                         gz.multiple_steps == seed.multiple_steps &&
+                         gz.single_steps == seed.single_steps &&
+                         gz.limit_hit == seed.limit_hit;
   }
   row.verdicts_match = row.verdicts_match && reduced_ok;
   row.peak_rss_bytes = gpo::obs::peak_rss_bytes();
@@ -263,96 +217,9 @@ std::string json_number(double v) {
   return ss.str();
 }
 
-// -- thread-scaling sweep (--parallel-out) ----------------------------------
-
-struct ParallelRow {
-  std::string model;
-  std::size_t threads = 1;
-  std::size_t states = 0;
-  double wall_ms = 0;
-  double speedup_vs_1t = 1.0;
-  std::size_t steals = 0;
-  std::size_t fork_tasks = 0;
-  std::size_t peak_frontier = 0;
-  bool verdict_matches = true;
-};
-
-std::vector<ParallelRow> run_thread_sweep(const std::string& label,
-                                          const PetriNet& net, double budget,
-                                          bool& all_match) {
-  std::vector<ParallelRow> rows;
-  gpo::core::GpoResult base;
-  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    gpo::core::GpoOptions opt;
-    opt.max_seconds = budget;
-    opt.num_threads = threads;
-    gpo::util::Stopwatch timer;
-    auto r = gpo::core::run_gpo(net, gpo::core::FamilyKind::kInterned, opt);
-    ParallelRow row;
-    row.model = label;
-    row.threads = threads;
-    row.states = r.state_count;
-    row.wall_ms = timer.elapsed_seconds() * 1000.0;
-    row.steals = r.parallel.steal_count;
-    row.fork_tasks = r.parallel.fork_tasks;
-    row.peak_frontier = r.parallel.peak_frontier;
-    if (threads == 1) {
-      base = r;
-    } else {
-      row.speedup_vs_1t =
-          row.wall_ms > 0 ? rows.front().wall_ms / row.wall_ms : 0.0;
-      row.verdict_matches = r.deadlock_found == base.deadlock_found &&
-                            r.state_count == base.state_count &&
-                            r.limit_hit == base.limit_hit;
-    }
-    all_match &= row.verdict_matches;
-    std::cout << std::left << std::setw(12) << row.model << std::right
-              << std::setw(4) << row.threads << "t" << std::setw(8)
-              << row.states << std::setw(12) << std::fixed
-              << std::setprecision(2) << row.wall_ms << std::setw(8)
-              << std::setprecision(2) << row.speedup_vs_1t << "x"
-              << std::setw(9) << row.steals << std::setw(9) << row.fork_tasks
-              << std::setw(10) << row.peak_frontier
-              << (row.verdict_matches ? "" : "  VERDICT MISMATCH") << "\n";
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-void write_parallel_json(std::ostream& out,
-                         const std::vector<ParallelRow>& rows, bool smoke) {
-  out << "{\n"
-      << "  \"schema_version\": 2,\n"
-      << "  \"benchmark\": \"bench_gpo_parallel\",\n"
-      << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-      << "  \"host_cpus\": " << std::thread::hardware_concurrency() << ",\n"
-      << "  \"models\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const ParallelRow& r = rows[i];
-    out << "    {\n"
-        << "      \"model\": \"" << r.model << "\",\n"
-        << "      \"threads\": " << r.threads << ",\n"
-        << "      \"states\": " << r.states << ",\n"
-        << "      \"wall_ms\": " << json_number(r.wall_ms) << ",\n"
-        << "      \"states_per_second\": "
-        << json_number(r.wall_ms > 0
-                           ? static_cast<double>(r.states) / (r.wall_ms / 1000.0)
-                           : 0.0)
-        << ",\n"
-        << "      \"speedup_vs_1t\": " << json_number(r.speedup_vs_1t) << ",\n"
-        << "      \"steals\": " << r.steals << ",\n"
-        << "      \"fork_tasks\": " << r.fork_tasks << ",\n"
-        << "      \"peak_frontier\": " << r.peak_frontier << ",\n"
-        << "      \"verdict_matches_sequential\": "
-        << (r.verdict_matches ? "true" : "false") << "\n"
-        << "    }" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-}
-
 void write_json(std::ostream& out, const std::vector<Row>& rows, bool smoke) {
   out << "{\n"
-      << "  \"schema_version\": 4,\n"
+      << "  \"schema_version\": 5,\n"
       << "  \"benchmark\": \"bench_gpo_intern\",\n"
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
       << "  \"models\": [\n";
@@ -362,25 +229,17 @@ void write_json(std::ostream& out, const std::vector<Row>& rows, bool smoke) {
         << "      \"model\": \"" << r.model << "\",\n"
         << "      \"states\": " << r.states << ",\n"
         << "      \"seed_wall_ms\": " << json_number(r.seed_ms) << ",\n"
-        << "      \"interned_wall_ms\": " << json_number(r.interned_ms)
-        << ",\n"
-        << "      \"zdd_wall_ms\": " << json_number(r.zdd_ms) << ",\n"
+        << "      \"gpo_wall_ms\": " << json_number(r.gpo_ms) << ",\n"
         << "      \"speedup\": " << json_number(r.speedup()) << ",\n"
         << "      \"mcs_enum_ms\": " << json_number(r.mcs_enum_ms) << ",\n"
         << "      \"family_ops_ms\": " << json_number(r.family_ops_ms)
         << ",\n"
-        << "      \"intern_wait_ns_p50\": " << r.intern_wait_ns_p50 << ",\n"
-        << "      \"intern_wait_ns_p99\": " << r.intern_wait_ns_p99 << ",\n"
-        << "      \"peak_families\": " << r.peak_families << ",\n"
-        << "      \"intern_calls\": " << r.intern_calls << ",\n"
-        << "      \"dedup_ratio\": " << json_number(r.dedup_ratio) << ",\n"
         << "      \"op_cache_hit_rate\": " << json_number(r.op_cache_hit_rate)
         << ",\n"
         << "      \"families_bytes\": " << r.families_bytes << ",\n"
-        << "      \"zdd_families_bytes\": " << r.zdd_families_bytes << ",\n"
         << "      \"zdd_nodes\": " << r.zdd_nodes << ",\n"
         << "      \"peak_rss_bytes\": " << r.peak_rss_bytes << ",\n"
-        << "      \"zdd_only\": " << (r.zdd_only ? "true" : "false") << ",\n"
+        << "      \"gpo_only\": " << (r.gpo_only ? "true" : "false") << ",\n"
         << "      \"reduce_ms\": " << json_number(r.reduce_ms) << ",\n"
         << "      \"reduced_places\": " << r.reduced_places << ",\n"
         << "      \"reduced_transitions\": " << r.reduced_transitions << ",\n"
@@ -403,7 +262,6 @@ int main(int argc, char** argv) {
   double budget = 60.0;
   std::string out_path = "BENCH_gpo.json";
   std::string report_path;
-  std::string parallel_out_path;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--smoke")) smoke = true;
     if (!std::strcmp(argv[i], "--slow")) slow = true;
@@ -412,8 +270,6 @@ int main(int argc, char** argv) {
     if (!std::strcmp(argv[i], "--out") && i + 1 < argc) out_path = argv[++i];
     if (!std::strcmp(argv[i], "--report") && i + 1 < argc)
       report_path = argv[++i];
-    if (!std::strcmp(argv[i], "--parallel-out") && i + 1 < argc)
-      parallel_out_path = argv[++i];
   }
   if (smoke && budget > 5.0) budget = 5.0;
 
@@ -430,7 +286,7 @@ int main(int argc, char** argv) {
   struct Instance {
     std::string label;
     PetriNet net;
-    bool zdd_only = false;
+    bool gpo_only = false;
   };
   std::vector<Instance> instances;
   using namespace gpo::models;
@@ -454,42 +310,46 @@ int main(int argc, char** argv) {
     instances.push_back({"rw:12", make_readers_writers(12)});
   }
   if (slow) {
-    // Memory-wall rows: the explicit family stores cannot hold these in a
-    // CI-sized address space, so only the ZDD backend runs.
-    instances.push_back({"nsdp:10", make_nsdp(10), /*zdd_only=*/true});
+    // Memory-wall rows: the explicit oracle cannot hold these in a
+    // CI-sized address space, so only the gpo engine runs.
+    instances.push_back({"nsdp:10", make_nsdp(10), /*gpo_only=*/true});
     instances.push_back({"chain:18", make_conflict_chain(18),
-                         /*zdd_only=*/true});
+                         /*gpo_only=*/true});
+  }
+
+  // Warm-up outside the table, so the first row does not pay for the
+  // process's cold start (page faults, instruction cache).
+  {
+    const PetriNet warm = make_fig7();
+    (void)gpo::core::run_gpo(warm);
+    (void)gpo::core::run_gpo_explicit(warm);
   }
 
   std::vector<Row> rows;
   bool all_match = true;
   std::cout << std::left << std::setw(12) << "model" << std::right
             << std::setw(8) << "states" << std::setw(12) << "seed-ms"
-            << std::setw(12) << "intern-ms" << std::setw(11) << "zdd-ms"
-            << std::setw(9) << "speedup" << std::setw(10) << "families"
-            << std::setw(7) << "hit%" << std::setw(12) << "fam-bytes"
-            << std::setw(12) << "zdd-bytes" << std::setw(11) << "rss-mb"
-            << std::setw(11) << "reduced-ms" << std::setw(9) << "red-spd"
-            << "\n";
+            << std::setw(11) << "gpo-ms" << std::setw(9) << "speedup"
+            << std::setw(7) << "hit%" << std::setw(12) << "zdd-bytes"
+            << std::setw(11) << "rss-mb" << std::setw(11) << "reduced-ms"
+            << std::setw(9) << "red-spd" << "\n";
   for (const Instance& inst : instances) {
     gpo::obs::MetricsRegistry reg;  // fresh per instance
-    Row row = run_row(inst.label, inst.net, budget, inst.zdd_only, &reg,
+    Row row = run_row(inst.label, inst.net, budget, inst.gpo_only, &reg,
                       report_path.empty() ? nullptr : &report);
     std::cout << std::left << std::setw(12) << row.model << std::right
               << std::setw(8) << row.states << std::setw(12) << std::fixed
-              << std::setprecision(2) << row.seed_ms << std::setw(12)
-              << row.interned_ms << std::setw(11) << row.zdd_ms
-              << std::setw(8) << std::setprecision(1) << row.speedup() << "x"
-              << std::setw(10) << row.peak_families << std::setw(6)
+              << std::setprecision(2) << row.seed_ms << std::setw(11)
+              << row.gpo_ms << std::setw(8) << std::setprecision(1)
+              << row.speedup() << "x" << std::setw(6)
               << static_cast<int>(row.op_cache_hit_rate * 100) << "%"
-              << std::setw(12) << row.families_bytes << std::setw(12)
-              << row.zdd_families_bytes << std::setw(11)
+              << std::setw(12) << row.families_bytes << std::setw(11)
               << std::setprecision(1)
               << static_cast<double>(row.peak_rss_bytes) / (1024.0 * 1024.0)
               << std::setw(11) << std::setprecision(2)
               << row.reduce_ms + row.reduced_wall_ms << std::setw(8)
               << std::setprecision(1) << row.reduced_speedup() << "x"
-              << (row.zdd_only ? "  [zdd-only]" : "")
+              << (row.gpo_only ? "  [gpo-only]" : "")
               << (row.verdicts_match ? "" : "  VERDICT MISMATCH") << "\n";
     all_match &= row.verdicts_match;
     rows.push_back(std::move(row));
@@ -510,26 +370,6 @@ int main(int argc, char** argv) {
     }
     report.write(rout, nullptr, nullptr);
     std::cout << "report written to " << report_path << "\n";
-  }
-  if (!parallel_out_path.empty()) {
-    std::cout << "\nthread sweep (fork-join gpo-intern):\n"
-              << std::left << std::setw(12) << "model" << std::right
-              << std::setw(5) << "thr" << std::setw(8) << "states"
-              << std::setw(12) << "wall-ms" << std::setw(9) << "vs-1t"
-              << std::setw(9) << "steals" << std::setw(9) << "forks"
-              << std::setw(10) << "peak-fr" << "\n";
-    std::vector<ParallelRow> prows;
-    for (const Instance& inst : instances) {
-      auto r = run_thread_sweep(inst.label, inst.net, budget, all_match);
-      prows.insert(prows.end(), r.begin(), r.end());
-    }
-    std::ofstream pout(parallel_out_path);
-    if (!pout) {
-      std::cerr << "cannot write " << parallel_out_path << "\n";
-      return 1;
-    }
-    write_parallel_json(pout, prows, smoke);
-    std::cout << "JSON written to " << parallel_out_path << "\n";
   }
   if (!all_match) {
     std::cerr << "ERROR: verdict mismatch\n";

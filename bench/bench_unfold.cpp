@@ -49,7 +49,7 @@ int main() {
     auto prefix = gpo::unfold::unfold(c.net, uo);
     gpo::core::GpoOptions go;
     go.max_seconds = 30;
-    auto g = gpo::core::run_gpo(c.net, gpo::core::FamilyKind::kBdd, go);
+    auto g = gpo::core::run_gpo(c.net, go);
     std::cout << std::left << std::setw(12) << c.label << std::right
               << std::setw(10)
               << (full.limit_hit ? std::string("> cap")

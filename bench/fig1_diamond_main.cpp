@@ -22,7 +22,7 @@ int main() {
     eo.max_states = 1u << 20;
     auto full = gpo::reach::ExplicitExplorer(net, eo).explore();
     auto por = gpo::por::StubbornExplorer(net).explore();
-    auto g = gpo::core::run_gpo(net, gpo::core::FamilyKind::kBdd);
+    auto g = gpo::core::run_gpo(net);
     std::cout << std::setw(4) << n << std::setw(12)
               << (full.limit_hit ? std::string("> cap")
                                  : std::to_string(full.state_count))

@@ -27,7 +27,7 @@ int main() {
     gpo::por::StubbornOptions so;
     so.max_states = 2u << 21;
     auto por = gpo::por::StubbornExplorer(net, so).explore();
-    auto g = gpo::core::run_gpo(net, gpo::core::FamilyKind::kBdd);
+    auto g = gpo::core::run_gpo(net);
     std::cout << std::setw(4) << n << std::setw(12)
               << (full.limit_hit ? std::string("> cap")
                                  : std::to_string(full.state_count))

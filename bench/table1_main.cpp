@@ -7,17 +7,13 @@
 // and prints the same rows the paper reports, plus a CSV dump
 // (table1_results.csv) for downstream plotting. Engines that exceed the
 // per-run budget are reported as ">cap", mirroring the paper's "> 24 hours"
-// entries. GPO runs with the BDD-backed set family (the explicit family is
-// covered by bench/ablation_family).
+// entries. GPO is the `gpo` engine (ZDD set families; the explicit oracle
+// is covered by bench/ablation_family).
 //
 // Usage: bench_table1 [--quick] [--max-seconds S] [--csv FILE] [--threads N]
-//                     [--gpo-threads N] [--report FILE] [--reduce L]
+//                     [--report FILE] [--reduce L]
 // --threads N runs the exhaustive "States" column on the parallel sharded
 // explorer with N workers (counts are identical to the sequential engine).
-// --gpo-threads N runs the "GPO" column on the work-stealing interned-family
-// engine with N workers (again count-identical; with N=1 the column switches
-// from the BDD family to the sequential interned engine so the comparison
-// stays within one representation).
 // --report FILE additionally writes the schema-stable JSON run report
 // (bench/report_schema.json) shared with `julie --report`.
 // --reduce L (safe|aggressive) runs the structural net-reduction pipeline
@@ -81,8 +77,7 @@ std::string fmt_time(const Cell& c) {
 }
 
 Row run_row(const std::string& name, const PetriNet& net, double budget,
-            std::size_t threads, std::size_t gpo_threads,
-            gpo::obs::MetricsRegistry* reg) {
+            std::size_t threads, gpo::obs::MetricsRegistry* reg) {
   // Each engine publishes its counters under its default prefix ("full.",
   // "por.", "bdd.", "gpo.") into the per-row registry for --report.
   Row row;
@@ -119,12 +114,7 @@ Row run_row(const std::string& name, const PetriNet& net, double budget,
     gpo::core::GpoOptions opt;
     opt.max_seconds = budget;
     opt.metrics = reg;
-    opt.num_threads = gpo_threads > 0 ? gpo_threads : 1;
-    // --gpo-threads selects the interned family (the parallel-capable
-    // representation); the default column stays on the BDD family.
-    auto kind = gpo_threads > 0 ? gpo::core::FamilyKind::kInterned
-                                : gpo::core::FamilyKind::kBdd;
-    auto r = gpo::core::run_gpo(net, kind, opt);
+    auto r = gpo::core::run_gpo(net, opt);
     row.gpo = {static_cast<double>(r.state_count), r.seconds, r.limit_hit,
                r.deadlock_found};
     row.gpo_delegated = r.delegated_states;
@@ -155,7 +145,6 @@ int main(int argc, char** argv) {
   double budget = 60.0;
   bool quick = false;
   std::size_t threads = 1;
-  std::size_t gpo_threads = 0;  // 0 = GPO column on the default BDD family
   gpo::reduce::ReduceLevel reduce_level = gpo::reduce::ReduceLevel::kOff;
   std::string csv_path = "table1_results.csv";
   std::string report_path;
@@ -169,10 +158,6 @@ int main(int argc, char** argv) {
     if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
       threads = std::stoul(argv[++i]);
       if (threads == 0) threads = 1;
-    }
-    if (!std::strcmp(argv[i], "--gpo-threads") && i + 1 < argc) {
-      gpo_threads = std::stoul(argv[++i]);
-      if (gpo_threads == 0) gpo_threads = 1;
     }
     if (!std::strcmp(argv[i], "--reduce") && i + 1 < argc) {
       auto level = gpo::reduce::parse_reduce_level(argv[++i]);
@@ -235,10 +220,6 @@ int main(int argc, char** argv) {
   if (threads > 1)
     std::cout << "(exhaustive column: parallel explorer, " << threads
               << " threads)\n";
-  if (gpo_threads > 0)
-    std::cout << "(GPO column: work-stealing interned-family engine, "
-              << gpo_threads << " thread" << (gpo_threads > 1 ? "s" : "")
-              << ")\n";
   const bool reducing = reduce_level != gpo::reduce::ReduceLevel::kOff;
   if (reducing)
     std::cout << "(all engines run on the "
@@ -282,7 +263,7 @@ int main(int argc, char** argv) {
       reduced.emplace(std::move(red.net));
       net = &*reduced;
     }
-    Row row = run_row(inst.label, *net, budget, threads, gpo_threads,
+    Row row = run_row(inst.label, *net, budget, threads,
                       report_path.empty() ? nullptr : &reg);
     row.places_before = red_stats.places_before;
     row.places_after = red_stats.places_after;
@@ -323,7 +304,7 @@ int main(int argc, char** argv) {
       report.add_engine(
           engine_run("bdd", inst.label, row.smv, row.smv_states, reg, "bdd."));
       report.add_engine(
-          engine_run("gpo-bdd", inst.label, row.gpo, row.gpo.value, reg,
+          engine_run("gpo", inst.label, row.gpo, row.gpo.value, reg,
                      "gpo."));
     }
   }

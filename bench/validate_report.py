@@ -11,13 +11,13 @@ items, enum, minimum, additionalProperties, and $ref into #/definitions.
 No third-party jsonschema dependency, so CI can run it on a bare runner.
 Exit status 0 iff the document validates; errors go to stderr.
 
---bench validates the bench_gpo_intern output instead (schema_version 4,
+--bench validates the bench_gpo_intern output instead (schema_version 5,
 field presence/types, every verdicts_match true) and enforces the
-checked-in memory gate: the nsdp:6 row's zdd_families_bytes must stay
-under NSDP6_ZDD_BYTES_MAX. The gate is the regression tripwire for the
-ZDD family store — measured ~2.6 MB (of which ~1 MB is the fixed
-computed-table allocation), asserted at 3x headroom while the explicit
-store needs ~23 MB on the same model.
+checked-in memory gate: the nsdp:6 row's families_bytes (the gpo
+engine's ZDD store) must stay under NSDP6_ZDD_BYTES_MAX. The gate is the
+regression tripwire for the ZDD family store — measured ~2.6 MB before
+the computed table was sized lazily, asserted at 3x headroom, while the
+explicit oracle needs ~23 MB on the same model.
 
 --events validates a JSONL event log (`julie --events`, `julie batch
 --events`, manifest `events=`): every line parses as a JSON object with
@@ -39,25 +39,17 @@ BENCH_ROW_FIELDS = {
     "model": str,
     "states": int,
     "seed_wall_ms": (int, float),
-    "interned_wall_ms": (int, float),
-    "zdd_wall_ms": (int, float),
+    "gpo_wall_ms": (int, float),
     "speedup": (int, float),
-    # Per-phase split of the interned run (schema_version 4): candidate-MCS
-    # enumeration vs family-op wall, and the interner's wait-episode
-    # percentiles (0 on sequential runs, which never wait).
+    # Per-phase split of the gpo run: candidate-MCS enumeration vs
+    # family-op wall.
     "mcs_enum_ms": (int, float),
     "family_ops_ms": (int, float),
-    "intern_wait_ns_p50": int,
-    "intern_wait_ns_p99": int,
-    "peak_families": int,
-    "intern_calls": int,
-    "dedup_ratio": (int, float),
     "op_cache_hit_rate": (int, float),
     "families_bytes": int,
-    "zdd_families_bytes": int,
     "zdd_nodes": int,
     "peak_rss_bytes": int,
-    "zdd_only": bool,
+    "gpo_only": bool,
     "reduce_ms": (int, float),
     "reduced_places": int,
     "reduced_transitions": int,
@@ -70,8 +62,8 @@ BENCH_ROW_FIELDS = {
 def validate_bench(doc):
     """Returns a list of error strings for a bench_gpo_intern document."""
     errors = []
-    if doc.get("schema_version") != 4:
-        errors.append(f"schema_version {doc.get('schema_version')!r} != 4")
+    if doc.get("schema_version") != 5:
+        errors.append(f"schema_version {doc.get('schema_version')!r} != 5")
     if doc.get("benchmark") != "bench_gpo_intern":
         errors.append(f"benchmark {doc.get('benchmark')!r}")
     models = doc.get("models")
@@ -89,16 +81,14 @@ def validate_bench(doc):
                               f"{type(row[key]).__name__}, want {ty}")
         if not row.get("verdicts_match", False):
             errors.append(f"{where}: verdicts_match is false")
-        if row.get("zdd_only") and (row.get("seed_wall_ms") or
-                                    row.get("interned_wall_ms") or
-                                    row.get("reduced_wall_ms")):
-            errors.append(f"{where}: zdd_only row has explicit timings")
+        if row.get("gpo_only") and row.get("seed_wall_ms"):
+            errors.append(f"{where}: gpo_only row has oracle timings")
         if row.get("model") == "nsdp:6" and isinstance(
-                row.get("zdd_families_bytes"), int):
-            if row["zdd_families_bytes"] > NSDP6_ZDD_BYTES_MAX:
+                row.get("families_bytes"), int):
+            if row["families_bytes"] > NSDP6_ZDD_BYTES_MAX:
                 errors.append(
-                    f"{where}: zdd_families_bytes "
-                    f"{row['zdd_families_bytes']} exceeds the memory gate "
+                    f"{where}: families_bytes "
+                    f"{row['families_bytes']} exceeds the memory gate "
                     f"NSDP6_ZDD_BYTES_MAX={NSDP6_ZDD_BYTES_MAX}")
     return errors
 
@@ -115,9 +105,9 @@ def main_bench(path):
             print(f"BENCH VIOLATION {e}", file=sys.stderr)
         return 1
     gated = [r for r in doc["models"] if r["model"] == "nsdp:6"]
-    gate = (f", nsdp:6 zdd bytes {gated[0]['zdd_families_bytes']}"
+    gate = (f", nsdp:6 zdd bytes {gated[0]['families_bytes']}"
             f" <= {NSDP6_ZDD_BYTES_MAX}" if gated else "")
-    print(f"{path}: valid (schema_version 4, {len(doc['models'])} models, "
+    print(f"{path}: valid (schema_version 5, {len(doc['models'])} models, "
           f"all verdicts match{gate})")
     return 0
 

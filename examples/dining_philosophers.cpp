@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     so.max_seconds = 20;
     auto sym = gpo::bdd::SymbolicReachability(net, so).analyze();
 
-    auto g = gpo::core::run_gpo(net, gpo::core::FamilyKind::kBdd);
+    auto g = gpo::core::run_gpo(net);
 
     std::cout << std::setw(4) << n << std::setw(12)
               << (full.limit_hit ? std::string("> cap")
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
 
   // Show one concrete deadlock with its firing sequence.
   auto net = gpo::models::make_nsdp(4);
-  auto g = gpo::core::run_gpo(net, gpo::core::FamilyKind::kBdd);
+  auto g = gpo::core::run_gpo(net);
   if (g.deadlock_found) {
     std::cout << "\nGPO deadlock witness for n=4: "
               << gpo::reach::marking_to_string(net, *g.deadlock_witness)

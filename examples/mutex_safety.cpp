@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
        {std::pair{Engine::kExplicit, "exhaustive"},
         std::pair{Engine::kStubborn, "stubborn  "},
         std::pair{Engine::kSymbolic, "symbolic  "},
-        std::pair{Engine::kGpoBdd, "gpo (bdd) "}}) {
+        std::pair{Engine::kGpo, "gpo       "}}) {
     gpo::safety::SafetyOptions opt;
     opt.engine = engine;
     opt.max_seconds = 60;
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   gpo::safety::SafetyProperty reachable{
       {net.find_place("crit_" + std::to_string(n))}};
   auto r = gpo::safety::check_safety(net, reachable,
-                                     {gpo::safety::Engine::kGpoBdd});
+                                     {gpo::safety::Engine::kGpo});
   std::cout << "\ncontrol check — 'crit_" << n << " is never marked': "
             << (r.violated ? "correctly refuted" : "UNEXPECTEDLY held");
   if (r.witness)

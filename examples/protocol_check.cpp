@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
             << " places, " << net.transition_count() << " transitions, "
             << net.initial_marking().count() << " initial tokens\n";
 
-  auto result = gpo::core::run_gpo(net, gpo::core::FamilyKind::kBdd);
+  auto result = gpo::core::run_gpo(net);
   std::cout << "GPO: " << result.state_count << " states, "
             << (result.deadlock_found ? "DEADLOCK" : "no deadlock") << " ("
             << result.seconds << "s";

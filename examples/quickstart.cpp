@@ -40,10 +40,10 @@ int main() {
   std::cout << "net '" << net.name() << "': " << net.place_count()
             << " places, " << net.transition_count() << " transitions\n";
 
-  // 2. Run generalized partial-order analysis. FamilyKind::kBdd picks the
-  //    BDD-backed valid-set representation (scales to large conflict counts);
-  //    kExplicit is the simpler enumerated one.
-  core::GpoResult result = core::run_gpo(net, core::FamilyKind::kBdd);
+  // 2. Run generalized partial-order analysis: the `gpo` engine, which
+  //    stores every set family as a canonical ZDD (run_gpo_explicit runs
+  //    the same search over the paper-literal enumerated families).
+  core::GpoResult result = core::run_gpo(net);
 
   std::cout << "explored " << result.state_count << " GPN states ("
             << result.multiple_steps << " simultaneous steps, "

@@ -11,21 +11,26 @@
 //     (high == ∅ ⇒ low). Each manager applies its own rule in make_node
 //     before asking the table for a Ref, so the table stays a pure
 //     structural interner and canonicity remains the manager's invariant.
+//     The unique table is open-addressed: a flat power-of-two array of
+//     Refs probed linearly and compared against the arena, so a new node
+//     costs no heap allocation of its own.
 //   * ComputedCache — a bounded direct-mapped memo table for binary node
 //     operations, the classical "computed table" of OBDD packages. A
 //     colliding entry is overwritten (counted as an eviction), so memory is
 //     bounded without eviction scans; recomputation after overwrite is
-//     sound because ops are deterministic functions of canonical Refs.
+//     sound because ops are deterministic functions of canonical Refs. It
+//     starts small and doubles up to its bound, so a short run does not pay
+//     for a table sized for a long one.
 //   * DdLimitExceeded — the clean out-of-budget escape both managers throw
 //     instead of exhausting memory on a pathological variable order.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "util/hash.hpp"
@@ -70,10 +75,16 @@ struct Node {
 /// DD-size" statistic the benchmarks report — and a Ref stays valid forever.
 class NodeTable {
  public:
+  /// Unique-table slots a fresh table starts with (a power of two).
+  static constexpr std::size_t kInitialSlots = 256;
+
   /// `kind` labels DdLimitExceeded messages ("BDD"/"ZDD"); it must outlive
   /// the table (string literals do).
   NodeTable(Var num_vars, std::size_t node_limit, const char* kind)
-      : num_vars_(num_vars), node_limit_(node_limit), kind_(kind) {
+      : num_vars_(num_vars),
+        node_limit_(node_limit),
+        kind_(kind),
+        slots_(kInitialSlots, kInvalidRef) {
     nodes_.push_back({num_vars_, kTerminal0, kTerminal0});
     nodes_.push_back({num_vars_, kTerminal1, kTerminal1});
   }
@@ -82,13 +93,17 @@ class NodeTable {
   /// sight. Pure structural interning: callers apply their reduction rule
   /// *before* calling (the table never inspects low/high semantics).
   Ref insert(Var var, Ref low, Ref high) {
-    Key key{var, low, high};
-    auto it = unique_.find(key);
-    if (it != unique_.end()) return it->second;
+    std::size_t i = slot_of(var, low, high);
+    for (; slots_[i] != kInvalidRef; i = (i + 1) & (slots_.size() - 1)) {
+      const Node& n = nodes_[slots_[i]];
+      if (n.var == var && n.low == low && n.high == high) return slots_[i];
+    }
     if (nodes_.size() >= node_limit_) throw DdLimitExceeded(kind_, node_limit_);
     Ref ref = static_cast<Ref>(nodes_.size());
     nodes_.push_back({var, low, high});
-    unique_.emplace(key, ref);
+    slots_[i] = ref;
+    // Load ½: the terminals live in the arena but not in the table.
+    if (2 * (nodes_.size() - 2) > slots_.size()) rehash(2 * slots_.size());
     return ref;
   }
 
@@ -99,47 +114,61 @@ class NodeTable {
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
   [[nodiscard]] Var num_vars() const { return num_vars_; }
   [[nodiscard]] std::size_t node_limit() const { return node_limit_; }
+  /// Unique-table slots (a power of two, at least twice the stored nodes).
+  [[nodiscard]] std::size_t slot_count() const { return slots_.size(); }
 
-  /// Heap bytes of the arena + unique table (unordered_map nodes estimated
-  /// at key+value+two pointers each), the backing of the "mem.*" gauges.
+  /// Heap bytes of the arena + unique table, the backing of the "mem.*"
+  /// gauges.
   [[nodiscard]] std::size_t memory_bytes() const {
-    return nodes_.capacity() * sizeof(Node) +
-           unique_.size() * (sizeof(Key) + sizeof(Ref) + 2 * sizeof(void*)) +
-           unique_.bucket_count() * sizeof(void*);
+    return nodes_.capacity() * sizeof(Node) + slots_.capacity() * sizeof(Ref);
   }
 
  private:
-  struct Key {
-    Var var;
-    Ref low;
-    Ref high;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      return static_cast<std::size_t>(util::mix64(
-          (std::uint64_t{k.var} << 40) ^ (std::uint64_t{k.low} << 20) ^
-          k.high));
+  [[nodiscard]] std::size_t slot_of(Var var, Ref low, Ref high) const {
+    return static_cast<std::size_t>(util::mix64(
+               (std::uint64_t{var} << 40) ^ (std::uint64_t{low} << 20) ^
+               high)) &
+           (slots_.size() - 1);
+  }
+
+  /// Rebuilds the unique table at `slots` from the arena, which holds every
+  /// node exactly once.
+  void rehash(std::size_t slots) {
+    slots_.assign(slots, kInvalidRef);
+    for (Ref r = 2; r < nodes_.size(); ++r) {
+      const Node& n = nodes_[r];
+      std::size_t i = slot_of(n.var, n.low, n.high);
+      while (slots_[i] != kInvalidRef) i = (i + 1) & (slots - 1);
+      slots_[i] = r;
     }
-  };
+  }
 
   Var num_vars_;
   std::size_t node_limit_;
   const char* kind_;
   std::vector<Node> nodes_;
-  std::unordered_map<Key, Ref, KeyHash> unique_;
+  std::vector<Ref> slots_;  // Refs into nodes_; kInvalidRef marks a free slot
 };
 
 /// Bounded direct-mapped computed table for (op, f, g) -> result memoization.
 /// The counters decompose the miss stream: `evictions` counts colliding
 /// overwrites (capacity misses), so hit rate shortfalls can be attributed to
 /// cache size vs. compulsory first-sight misses.
+///
+/// The table starts at kInitialEntries (or the bound, if smaller) and
+/// doubles once half its slots are occupied, until it reaches the bound.
+/// Doubling re-places every live entry: the slot of an entry in the larger
+/// table agrees with its old slot in the low bits, so distinct old slots
+/// never collide and growth loses nothing.
 class ComputedCache {
  public:
-  explicit ComputedCache(std::size_t entries) {
-    std::size_t rounded = 1;
-    while (rounded < entries) rounded <<= 1;
-    slots_.resize(rounded);
+  /// Slots a fresh cache starts with (a power of two).
+  static constexpr std::size_t kInitialEntries = 1024;
+
+  /// `max_entries` bounds the table (rounded up to a power of two).
+  explicit ComputedCache(std::size_t max_entries) {
+    while (max_entries_ < max_entries) max_entries_ <<= 1;
+    slots_.resize(std::min(kInitialEntries, max_entries_));
   }
 
   [[nodiscard]] bool lookup(std::uint8_t op, Ref a, Ref b, Ref& out) {
@@ -162,6 +191,7 @@ class ComputedCache {
     else if (e.a != a || e.b != b || e.op != op)
       ++evictions_;
     e = {a, b, result, op};
+    if (2 * occupied_ >= slots_.size() && slots_.size() < max_entries_) grow();
   }
 
   /// Distinct op kinds the per-op breakdown tracks; op codes are folded
@@ -169,7 +199,9 @@ class ComputedCache {
   /// the mapping is the identity).
   static constexpr std::size_t kOpKinds = 8;
 
+  /// Current slots; never more than max_entries().
   [[nodiscard]] std::size_t entries() const { return slots_.size(); }
+  [[nodiscard]] std::size_t max_entries() const { return max_entries_; }
   [[nodiscard]] std::size_t hits() const { return hits_; }
   [[nodiscard]] std::size_t misses() const { return misses_; }
   /// Per-op-kind decomposition of the hit/miss streams (op folded mod
@@ -201,6 +233,15 @@ class ComputedCache {
            (slots_.size() - 1);
   }
 
+  /// Doubles the table, re-placing every live entry.
+  void grow() {
+    std::vector<Entry> old(2 * slots_.size());
+    old.swap(slots_);
+    for (const Entry& e : old)
+      if (e.a != kInvalidRef) slots_[index(e.op, e.a, e.b)] = e;
+  }
+
+  std::size_t max_entries_ = 1;
   std::vector<Entry> slots_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;

@@ -54,7 +54,7 @@ struct ZddStats {
   std::size_t cache_misses = 0;
   std::size_t cache_evictions = 0;
   std::size_t cache_occupied = 0;
-  std::size_t cache_entries = 0;
+  std::size_t cache_entries = 0;  ///< current computed-table slots
   std::size_t memory_bytes = 0;  ///< arena + unique table + computed table
   /// Per-op decomposition of the hit/miss streams; sums to
   /// cache_hits/cache_misses.
@@ -66,8 +66,9 @@ class ZddManager {
  public:
   /// `num_vars` fixes the element universe 0..num_vars-1 (variable index ==
   /// level: smaller index closer to the root, matching the BDD convention).
-  /// `cache_entries` sizes the direct-mapped computed table (rounded up to a
-  /// power of two).
+  /// `cache_entries` bounds the direct-mapped computed table (rounded up to
+  /// a power of two); the table starts at up to 1K entries and doubles
+  /// toward the bound as it fills.
   explicit ZddManager(Var num_vars,
                       std::size_t node_limit = std::size_t{1} << 23,
                       std::size_t cache_entries = std::size_t{1} << 16)

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -43,6 +44,7 @@
 #include "safety/safety.hpp"
 #include "service/service_cli.hpp"
 #include "unfold/unfolding.hpp"
+#include "util/parse_num.hpp"
 #include "util/stopwatch.hpp"
 
 namespace {
@@ -61,15 +63,12 @@ int usage(const char* argv0) {
       << "                     stdin/stdout (CHECK/VERDICT)\n"
       << "  --model NAME:N     built-in model instead of a net file; NAME in\n"
       << "                     {nsdp, asat, over, rw, diamond, chain,\n"
-      << "                      fig3, fig5, fig7}\n"
+      << "                      cyclic, ring, fig3, fig5, fig7}\n"
       << "  --engine E         full | por | bdd | gpo | gpo-intern |\n"
       << "                     gpo-bdd | unfold | all\n"
-      << "                     (default: gpo)\n"
-      << "  --family-store S   explicit | zdd — family storage backend for\n"
-      << "                     the gpo/gpo-intern engines (default explicit;\n"
-      << "                     zdd stores canonical set families as shared\n"
-      << "                     zero-suppressed DDs: ~10x less family memory\n"
-      << "                     on scenario-heavy nets, sequential only)\n"
+      << "                     (default: gpo, the GPN search over ZDD\n"
+      << "                     set families; gpo-intern / gpo-bdd run it\n"
+      << "                     over interned explicit / BDD families)\n"
       << "  --reduce L         off | safe | aggressive — structural net\n"
       << "                     reduction before the deadlock engines run\n"
       << "                     (default off). The engines analyze the\n"
@@ -91,10 +90,11 @@ int usage(const char* argv0) {
       << "                     not depend on N (default 1 = sequential)\n"
       << "  --stats            print per-engine telemetry counters on stderr\n"
       << "                     (states/sec, peak frontier, steals, shard\n"
-      << "                     occupancy, interner dedup, op-cache hit rate)\n"
+      << "                     occupancy, ZDD nodes, interner dedup,\n"
+      << "                     op-cache hit rate)\n"
       << "  --progress [SECS]  heartbeat on stderr every SECS seconds\n"
       << "                     (default 1): states/sec, frontier, peak RSS,\n"
-      << "                     interner occupancy, current phase\n"
+      << "                     ZDD nodes or interner occupancy, phase\n"
       << "  --report FILE      write a machine-readable JSON run report\n"
       << "                     (schema: bench/report_schema.json)\n"
       << "  --events FILE      write a JSONL event log (span open/close\n"
@@ -240,7 +240,6 @@ int main(int argc, char** argv) {
     return gpo::service::serve_main(argc - 2, argv + 2);
 
   std::string engine = "gpo";
-  gpo::core::FamilyStore family_store = gpo::core::FamilyStore::kExplicit;
   gpo::reduce::ReduceLevel reduce_level = gpo::reduce::ReduceLevel::kOff;
   std::string model_spec;
   std::string net_file;
@@ -265,19 +264,20 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A numeric flag's value, parsed strictly; bad input is a usage error.
+    auto number = [&](auto parse) {
+      const std::string text = next();
+      try {
+        return parse(text);
+      } catch (const std::exception& e) {
+        std::cerr << arg << ": " << e.what() << "\n";
+        exit(2);
+      }
+    };
     if (arg == "--model") {
       model_spec = next();
     } else if (arg == "--engine") {
       engine = next();
-    } else if (arg == "--family-store") {
-      std::string store = next();
-      auto parsed = gpo::core::parse_family_store(store);
-      if (!parsed) {
-        std::cerr << "--family-store must be 'explicit' or 'zdd', got '"
-                  << store << "'\n";
-        return 2;
-      }
-      family_store = *parsed;
     } else if (arg == "--reduce") {
       std::string level = next();
       auto parsed = gpo::reduce::parse_reduce_level(level);
@@ -296,11 +296,18 @@ int main(int argc, char** argv) {
     } else if (arg == "--structure") {
       want_structure = true;
     } else if (arg == "--max-states") {
-      max_states = std::stoul(next());
+      max_states = number([](const std::string& t) {
+        return gpo::util::parse_int<std::size_t>(t, 1);
+      });
     } else if (arg == "--max-seconds") {
-      max_seconds = std::stod(next());
+      max_seconds = number([](const std::string& t) {
+        return gpo::util::parse_double(
+            t, std::numeric_limits<double>::denorm_min());
+      });
     } else if (arg == "--threads") {
-      num_threads = std::stoul(next());
+      num_threads = number([](const std::string& t) {
+        return gpo::util::parse_int<std::size_t>(t, 0, 1024);
+      });
       if (num_threads == 0) num_threads = 1;
     } else if (arg == "--stats") {
       want_stats = true;
@@ -423,7 +430,12 @@ int main(int argc, char** argv) {
   try {
     gpo::obs::Span parse_span(tr, "parse");
     if (!model_spec.empty()) {
-      net = gpo::models::make_by_spec(model_spec);
+      try {
+        net = gpo::models::make_by_spec(model_spec);
+      } catch (const std::invalid_argument& e) {
+        std::cerr << "--model: " << e.what() << "\n";
+        return finish(2);
+      }
       if (!net) {
         std::cerr << "unknown model '" << model_spec << "'\n";
         return finish(2);
@@ -519,10 +531,10 @@ int main(int argc, char** argv) {
     opt.engine = engine == "full"  ? gpo::safety::Engine::kExplicit
                  : engine == "por" ? gpo::safety::Engine::kStubborn
                  : engine == "bdd" ? gpo::safety::Engine::kSymbolic
-                 : engine == "gpo" ? gpo::safety::Engine::kGpo
                  : engine == "gpo-intern"
                      ? gpo::safety::Engine::kGpoInterned
-                     : gpo::safety::Engine::kGpoBdd;
+                 : engine == "gpo-bdd" ? gpo::safety::Engine::kGpoBdd
+                                       : gpo::safety::Engine::kGpo;
     auto r = gpo::safety::check_safety(*net, prop, opt);
     std::cout << "safety '" << safety_spec << "': "
               << (r.violated ? "VIOLATED" : (r.limit_hit ? "UNDECIDED (limit)"
@@ -663,13 +675,10 @@ int main(int argc, char** argv) {
         opt.metrics_prefix = prefix;
         opt.tracer = tr;
         opt.num_threads = num_threads;  // parallel path: gpo-intern only
-        opt.family_store = family_store;  // zdd forces the sequential engine
-        auto kind = e == "gpo"       ? gpo::core::FamilyKind::kExplicit
+        auto kind = e == "gpo"       ? gpo::core::FamilyKind::kZdd
                     : e == "gpo-bdd" ? gpo::core::FamilyKind::kBdd
                                      : gpo::core::FamilyKind::kInterned;
         auto r = gpo::core::run_gpo(*analysis_net, kind, opt);
-        for (const std::string& w : r.warnings)
-          std::cerr << "warning: " << e << ": " << w << "\n";
         row = {e, static_cast<double>(r.state_count), 0, r.deadlock_found,
                r.limit_hit, r.interrupted_phase, r.seconds};
         if (r.deadlock_found) accept_counterexample(e, r.counterexample);

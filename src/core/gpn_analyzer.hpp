@@ -22,8 +22,9 @@
 //      one exists, is expanded transition-by-transition (the classical
 //      partial-order reduction), else every single-enabled transition is.
 //
-// The template parameter selects the family representation (ExplicitFamily,
-// BddFamily or InternedFamily); see DESIGN.md decision 2. All semantic
+// The template parameter selects the family representation: ZddFamily (the
+// `gpo` engine), ExplicitFamily (the paper-literal reference oracle),
+// BddFamily or InternedFamily; see DESIGN.md decision 2. All semantic
 // methods (s_enabled/m_update/plan_expansion/...) are const and — given a
 // thread-safe family context, like the concurrent FamilyInterner — callable
 // from multiple threads at once; the parallel engine
@@ -742,8 +743,12 @@ GpoResult GpnAnalyzer<Family>::explore() const {
       live_frontier = &options_.metrics->gauge("progress.frontier");
       if constexpr (requires(Context& c, GpoFamilyStats& st) {
                       c.fill_stats(st);
-                    })
-        live_families = &options_.metrics->gauge("interner.families");
+                    }) {
+        GpoFamilyStats probe;
+        ctx_.fill_stats(probe);
+        live_families = &options_.metrics->gauge(
+            probe.backend == "zdd" ? "progress.zdd_nodes" : "interner.families");
+      }
     }
   }
 
@@ -812,7 +817,7 @@ GpoResult GpnAnalyzer<Family>::explore() const {
                           c.fill_stats(st);
                         })
             ctx_.fill_stats(fs);
-          live_families->set(static_cast<double>(fs.distinct_families));
+          live_families->set(static_cast<double>(fs.store_size()));
         }
       }
       if (states.size() > options_.max_states ||
@@ -936,15 +941,16 @@ GpoResult GpnAnalyzer<Family>::explore() const {
 
   result.state_count = states.size();
   result.seconds = timer.elapsed_seconds();
-  // Representations with shared backing stores (the family interner) report
-  // dedup/cache counters; plain value representations leave the block empty.
+  // Representations with shared backing stores (the ZDD manager, the family
+  // interner) report node/dedup/cache counters; plain value representations
+  // leave the block empty.
   if constexpr (requires(Context& c, GpoFamilyStats& st) { c.fill_stats(st); })
     ctx_.fill_stats(result.family_stats);
   if (options_.metrics != nullptr) {
     publish_gpo_stats(*options_.metrics, options_.metrics_prefix, result);
     if (live_families != nullptr)
       live_families->set(
-          static_cast<double>(result.family_stats.distinct_families));
+          static_cast<double>(result.family_stats.store_size()));
   }
   if (options_.build_graph) {
     result.graph.initial = 0;

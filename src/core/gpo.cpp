@@ -1,7 +1,8 @@
 #include "core/gpo.hpp"
 
+#include <type_traits>
+
 #include "core/parallel_gpn_analyzer.hpp"
-#include "core/zdd_family.hpp"
 
 namespace gpo::core {
 
@@ -28,7 +29,10 @@ void publish_gpo_stats(obs::MetricsRegistry& reg, std::string_view prefix,
     reg.gauge(p + "parallel.states_per_second").set(ps.states_per_second);
   }
   const GpoFamilyStats& fs = result.family_stats;
-  if (fs.available) {
+  if (!fs.available) return;
+  reg.gauge("mem." + p + "families_bytes")
+      .set(static_cast<double>(fs.families_bytes));
+  if (fs.backend != "zdd") {
     reg.counter(p + "family_distinct").store(fs.distinct_families);
     reg.counter(p + "family_intern_calls").store(fs.intern_calls);
     reg.gauge(p + "family_dedup_ratio").set(fs.dedup_ratio);
@@ -43,64 +47,19 @@ void publish_gpo_stats(obs::MetricsRegistry& reg, std::string_view prefix,
                  ? 0.0
                  : static_cast<double>(fs.op_cache_occupied) /
                        static_cast<double>(fs.op_cache_capacity));
-    reg.gauge("mem." + p + "families_bytes")
-        .set(static_cast<double>(fs.families_bytes));
-    if (fs.backend == "zdd") {
-      reg.counter(p + "zdd.nodes").store(fs.zdd_nodes);
-      reg.counter(p + "zdd.cache_hits").store(fs.op_cache_hits);
-      reg.counter(p + "zdd.cache_misses").store(fs.op_cache_misses);
-      reg.counter(p + "zdd.cache_evictions").store(fs.op_cache_evictions);
-      for (const GpoFamilyStats::OpCacheCount& oc : fs.zdd_op_counts) {
-        reg.counter(p + "zdd.cache." + oc.op + ".hits").store(oc.hits);
-        reg.counter(p + "zdd.cache." + oc.op + ".misses").store(oc.misses);
-      }
-      reg.gauge("mem." + p + "zdd.bytes")
-          .set(static_cast<double>(fs.families_bytes));
-    }
+    return;
   }
-}
-
-GpoFamilyStats family_stats_from_registry(const obs::MetricsRegistry& reg,
-                                          std::string_view prefix) {
-  std::string p(prefix);
-  GpoFamilyStats fs;
-  auto distinct = reg.value(p + "family_distinct");
-  if (!distinct) return fs;
-  auto get = [&](const std::string& name) {
-    return reg.value(p + name).value_or(0.0);
-  };
-  fs.available = true;
-  fs.distinct_families = static_cast<std::size_t>(*distinct);
-  fs.intern_calls = static_cast<std::size_t>(get("family_intern_calls"));
-  fs.dedup_ratio = get("family_dedup_ratio");
-  fs.op_cache_hits = static_cast<std::size_t>(get("family_op_cache_hits"));
-  fs.op_cache_misses =
-      static_cast<std::size_t>(get("family_op_cache_misses"));
-  fs.op_cache_hit_rate = get("family_op_cache_hit_rate");
-  fs.op_cache_evictions =
-      static_cast<std::size_t>(get("family_op_cache_evictions"));
-  fs.op_cache_occupied =
-      static_cast<std::size_t>(get("family_op_cache_occupied"));
-  fs.op_cache_capacity =
-      static_cast<std::size_t>(get("family_op_cache_capacity"));
-  fs.families_bytes = static_cast<std::size_t>(
-      reg.value("mem." + p + "families_bytes").value_or(0.0));
-  if (auto zdd_nodes = reg.value(p + "zdd.nodes")) {
-    fs.backend = "zdd";
-    fs.zdd_nodes = static_cast<std::size_t>(*zdd_nodes);
-    for (const char* op : zdd::ZddStats::kOpNames) {
-      GpoFamilyStats::OpCacheCount oc;
-      oc.op = op;
-      oc.hits = static_cast<std::size_t>(
-          get(std::string("zdd.cache.") + op + ".hits"));
-      oc.misses = static_cast<std::size_t>(
-          get(std::string("zdd.cache.") + op + ".misses"));
-      fs.zdd_op_counts.push_back(std::move(oc));
-    }
-  } else {
-    fs.backend = "interned";
+  reg.counter(p + "zdd.nodes").store(fs.zdd_nodes);
+  reg.counter(p + "zdd.cache_hits").store(fs.op_cache_hits);
+  reg.counter(p + "zdd.cache_misses").store(fs.op_cache_misses);
+  reg.gauge(p + "zdd.cache_hit_rate").set(fs.op_cache_hit_rate);
+  reg.counter(p + "zdd.cache_evictions").store(fs.op_cache_evictions);
+  reg.counter(p + "zdd.cache_occupied").store(fs.op_cache_occupied);
+  reg.counter(p + "zdd.cache_capacity").store(fs.op_cache_capacity);
+  for (const GpoFamilyStats::OpCacheCount& oc : fs.zdd_op_counts) {
+    reg.counter(p + "zdd.cache." + oc.op + ".hits").store(oc.hits);
+    reg.counter(p + "zdd.cache." + oc.op + ".misses").store(oc.misses);
   }
-  return fs;
 }
 
 namespace {
@@ -138,10 +97,10 @@ void map_reduced_result(const petri::PetriNet& original,
     result.deadlock_witness.reset();
 }
 
-}  // namespace
-
-GpoResult run_gpo(const petri::PetriNet& net, FamilyKind kind,
-                  const GpoOptions& options) {
+/// Runs GpnAnalyzer<Family> on `net`, through the structural reduction
+/// when the options ask for one.
+template <typename Family>
+GpoResult run_with(const petri::PetriNet& net, const GpoOptions& options) {
   if (options.reduce_level != reduce::ReduceLevel::kOff &&
       !options.required_witness_place.has_value()) {
     reduce::ReduceOptions ro;
@@ -152,47 +111,47 @@ GpoResult run_gpo(const petri::PetriNet& net, FamilyKind kind,
     reduce::ReductionResult red = reduce::reduce_net(net, ro);
     GpoOptions inner = options;
     inner.reduce_level = reduce::ReduceLevel::kOff;
-    GpoResult result = run_gpo(red.net, kind, inner);
+    GpoResult result = run_with<Family>(red.net, inner);
     map_reduced_result(net, red.certificate, result);
     return result;
   }
-  // The ZDD store replaces the family storage of the explicit/interned
-  // kinds (kBdd is its own representation and keeps it). The shared manager
-  // is single-threaded, so this always takes the sequential engine — loudly,
-  // because silently eating --threads cost users real benchmarking time.
-  if (options.family_store == FamilyStore::kZdd && kind != FamilyKind::kBdd) {
-    ZddFamily::Context ctx(net.transition_count());
-    GpoResult result = GpnAnalyzer<ZddFamily>(net, ctx, options).explore();
-    if (options.num_threads > 1)
-      result.warnings.push_back(
-          "--family-store zdd uses a single-threaded manager: --threads " +
-          std::to_string(options.num_threads) +
-          " was demoted to a sequential run");
-    return result;
-  }
-  if (kind == FamilyKind::kExplicit) {
-    ExplicitFamily::Context ctx(net.transition_count());
-    return GpnAnalyzer<ExplicitFamily>(net, ctx, options).explore();
-  }
-  if (kind == FamilyKind::kInterned) {
-    InternedFamily::Context ctx(net.transition_count());
+  typename Family::Context ctx(net.transition_count());
+  if constexpr (std::is_same_v<Family, InternedFamily>) {
     if (options.metrics != nullptr)
       ctx.interner().set_wait_histogram(&options.metrics->histogram(
           options.metrics_prefix + "intern_wait_ns"));
     // The fork-join engine covers every option except build_graph (node
-    // labels require stable discovery order) — fall back for that.
+    // labels require stable discovery order), which stays sequential.
     if (options.num_threads > 1 && !options.build_graph)
       return ParallelGpnAnalyzer(net, ctx, options).explore();
-    GpoResult result = GpnAnalyzer<InternedFamily>(net, ctx, options).explore();
-    if (options.num_threads > 1 && options.build_graph)
-      result.warnings.push_back(
-          "--graph needs stable discovery order: --threads " +
-          std::to_string(options.num_threads) +
-          " was demoted to a sequential run");
-    return result;
   }
-  BddFamily::Context ctx(net.transition_count());
-  return GpnAnalyzer<BddFamily>(net, ctx, options).explore();
+  return GpnAnalyzer<Family>(net, ctx, options).explore();
+}
+
+}  // namespace
+
+GpoResult run_gpo(const petri::PetriNet& net, const GpoOptions& options) {
+  return run_with<ZddFamily>(net, options);
+}
+
+GpoResult run_gpo(const petri::PetriNet& net, FamilyKind kind,
+                  const GpoOptions& options) {
+  switch (kind) {
+    case FamilyKind::kExplicit:
+      return run_with<ExplicitFamily>(net, options);
+    case FamilyKind::kBdd:
+      return run_with<BddFamily>(net, options);
+    case FamilyKind::kInterned:
+      return run_with<InternedFamily>(net, options);
+    case FamilyKind::kZdd:
+      break;
+  }
+  return run_with<ZddFamily>(net, options);
+}
+
+GpoResult run_gpo_explicit(const petri::PetriNet& net,
+                           const GpoOptions& options) {
+  return run_with<ExplicitFamily>(net, options);
 }
 
 }  // namespace gpo::core

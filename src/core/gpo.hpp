@@ -1,23 +1,22 @@
-// Convenience front-end: runs generalized partial-order analysis with a
-// runtime-selected set-family representation. This is the entry point the
-// CLI, the examples and the benchmark harness use; library code that wants
-// the full API instantiates GpnAnalyzer directly.
+// Front-end of generalized partial-order analysis: the entry points the CLI,
+// the portfolio service, the safety reduction and the benches use. Library
+// code that wants the full API instantiates GpnAnalyzer directly.
 #pragma once
-
-#include <optional>
-#include <string_view>
 
 #include "core/family_interner.hpp"
 #include "core/gpn_analyzer.hpp"
 #include "core/gpo_result.hpp"
+#include "core/zdd_family.hpp"
 #include "petri/net.hpp"
 
 namespace gpo::core {
 
+/// Set-family representation of one GPN search (DESIGN.md decision 2).
 enum class FamilyKind {
-  kExplicit,  // canonical sorted vector of transition sets
+  kExplicit,  // canonical sorted vector of transition sets (the oracle)
   kBdd,       // Boolean function over |T| BDD variables
   kInterned,  // hash-consed explicit families behind 32-bit ids + op cache
+  kZdd,       // one canonical zero-suppressed DD per family (`gpo`)
 };
 
 /// A GPN state of the interned engine: per-place markings and r are 32-bit
@@ -25,17 +24,26 @@ enum class FamilyKind {
 /// run over flat id vectors and successor construction copies ids, not sets.
 using InternedGpnState = GpnState<InternedFamily>;
 
-/// Runs the Section 3.3 analysis procedure on `net` and returns the result.
-/// With FamilyKind::kExplicit or kInterned, nets whose explicit r0 would
-/// exceed the enumeration cap throw std::length_error — switch to kBdd, or
-/// to GpoOptions::family_store == FamilyStore::kZdd (whose r0 is built
-/// compositionally), for those. kInterned and kZdd runs additionally report
-/// GpoResult::family_stats. FamilyStore::kZdd replaces the family storage of
-/// kExplicit/kInterned with the canonical ZDD backend (sequential only);
-/// kBdd ignores it.
+/// The `gpo` engine: the Section 3.3 analysis procedure on `net`, with every
+/// set family a canonical ZDD (GpnAnalyzer<ZddFamily>). The initial family
+/// r0 is built compositionally, so no net is too conflict-rich to start.
+/// Reports the store's counters in GpoResult::family_stats.
 [[nodiscard]] GpoResult run_gpo(const petri::PetriNet& net,
-                                FamilyKind kind = FamilyKind::kExplicit,
                                 const GpoOptions& options = {});
+
+/// The same search over a chosen family representation. kZdd is run_gpo()
+/// above; kInterned honors GpoOptions::num_threads (the fork-join engine)
+/// and reports its interner counters. With kExplicit or kInterned, nets
+/// whose explicit r0 would exceed the enumeration cap throw
+/// std::length_error.
+[[nodiscard]] GpoResult run_gpo(const petri::PetriNet& net, FamilyKind kind,
+                                const GpoOptions& options = {});
+
+/// The search over the paper-literal ExplicitFamily (sorted vectors of
+/// transition sets): the reference oracle the tests and the bench's seed
+/// column compare `gpo` against. Same as run_gpo(net, kExplicit, options).
+[[nodiscard]] GpoResult run_gpo_explicit(const petri::PetriNet& net,
+                                         const GpoOptions& options = {});
 
 [[nodiscard]] inline const char* family_kind_name(FamilyKind k) {
   switch (k) {
@@ -45,27 +53,10 @@ using InternedGpnState = GpnState<InternedFamily>;
       return "bdd";
     case FamilyKind::kInterned:
       return "interned";
-  }
-  return "unknown";
-}
-
-[[nodiscard]] inline const char* family_store_name(FamilyStore s) {
-  switch (s) {
-    case FamilyStore::kExplicit:
-      return "explicit";
-    case FamilyStore::kZdd:
+    case FamilyKind::kZdd:
       return "zdd";
   }
   return "unknown";
-}
-
-/// Parses the --family-store / family-store= spellings; nullopt on anything
-/// else (callers own the error message).
-[[nodiscard]] inline std::optional<FamilyStore> parse_family_store(
-    std::string_view name) {
-  if (name == "explicit") return FamilyStore::kExplicit;
-  if (name == "zdd") return FamilyStore::kZdd;
-  return std::nullopt;
 }
 
 }  // namespace gpo::core

@@ -22,12 +22,6 @@ class TaskPool;
 
 namespace gpo::core {
 
-/// Storage backend for the canonical families of the reduced search.
-enum class FamilyStore {
-  kExplicit,  // sorted bitset vectors (hash-consed when FamilyKind::kInterned)
-  kZdd,       // one canonical zero-suppressed DD per family, shared nodes
-};
-
 struct GpoOptions {
   std::size_t max_states = std::numeric_limits<std::size_t>::max();
   double max_seconds = std::numeric_limits<double>::infinity();
@@ -72,21 +66,14 @@ struct GpoOptions {
   /// timeout's interrupted-phase diagnostic) show where the time went.
   obs::Tracer* tracer = nullptr;
   /// Worker threads for the reduced search. Honored by the interned-family
-  /// engine (Engine::kGpoInterned) when build_graph is off; >1 selects the
+  /// engine (FamilyKind::kInterned, `gpo-intern`) when build_graph is off
+  /// (with build_graph the run stays sequential); >1 selects the
   /// work-stealing ParallelGpnAnalyzer. Verdicts and state/edge counts are
   /// identical to the sequential engine (see DESIGN.md); only which
   /// counterexample is reported may differ (it always replays).
   std::size_t num_threads = 1;
   /// Visited-set shards for the parallel engine; 0 = max(16, 4 * threads).
   std::size_t shard_count = 0;
-  /// Family storage backend (ignored by FamilyKind::kBdd, which is its own
-  /// representation). kZdd stores every canonical family as one
-  /// zero-suppressed decision diagram over the transition universe: shared
-  /// node structure typically cuts families_bytes by an order of magnitude
-  /// on scenario-heavy nets, interning is pointer equality and the op cache
-  /// a node-level computed table. The ZDD manager is single-threaded, so
-  /// kZdd always runs the sequential engine (num_threads is ignored).
-  FamilyStore family_store = FamilyStore::kExplicit;
   /// Structural net reduction applied by run_gpo() before the search: the
   /// engine runs on the reduced net, the counterexample is mapped back
   /// through the ReductionCertificate and re-validated by replay on the
@@ -121,9 +108,9 @@ struct GpoParallelStats {
   double states_per_second = 0.0;
 };
 
-/// Counters of the canonical family store (FamilyKind::kInterned, or any
-/// kind run with FamilyStore::kZdd; `available` stays false for the plain
-/// explicit/BDD representations).
+/// Counters of the canonical family store (FamilyKind::kZdd — the `gpo`
+/// engine — and FamilyKind::kInterned; `available` stays false for the
+/// plain explicit/BDD representations).
 struct GpoFamilyStats {
   bool available = false;
   /// Which store produced the counters: "interned" (hash-consed explicit
@@ -160,6 +147,11 @@ struct GpoFamilyStats {
     std::size_t misses = 0;
   };
   std::vector<OpCacheCount> zdd_op_counts;
+
+  /// Size of the store: live ZDD nodes, or distinct interned families.
+  [[nodiscard]] std::size_t store_size() const {
+    return backend == "zdd" ? zdd_nodes : distinct_families;
+  }
 };
 
 struct GpoResult {
@@ -205,33 +197,20 @@ struct GpoResult {
   std::string interrupted_phase;
   double seconds = 0.0;
 
-  /// Interner/op-cache counters (FamilyKind::kInterned runs only).
+  /// Store counters (FamilyKind::kZdd and kInterned runs only).
   GpoFamilyStats family_stats;
 
   /// Work-stealing counters (parallel runs only; threads == 0 otherwise).
   GpoParallelStats parallel;
 
-  /// Human-readable diagnostics about ignored or demoted options (e.g. the
-  /// zdd store forcing --threads back to the sequential engine). The CLI
-  /// prints them to stderr; the portfolio scheduler copies them into
-  /// jobs[].warnings in the batch report.
-  std::vector<std::string> warnings;
-
   petri::LabeledGraph graph;  // populated when GpoOptions::build_graph
 };
 
 /// Publishes the final counters of one GPO analysis under `prefix`
-/// (including the "family_*" interner block when available and the
+/// (including the "zdd.*" or "family_*" store block when available and the
 /// "mem.<prefix>families_bytes" gauge). Invoked by the engine itself when
 /// GpoOptions::metrics is set.
 void publish_gpo_stats(obs::MetricsRegistry& reg, std::string_view prefix,
                        const GpoResult& result);
-
-/// Reconstructs the GpoFamilyStats view from counters previously published
-/// under `prefix` — the registry is the source of truth, the struct a
-/// convenience view. `available` reflects whether "<prefix>family_distinct"
-/// was ever published.
-[[nodiscard]] GpoFamilyStats family_stats_from_registry(
-    const obs::MetricsRegistry& reg, std::string_view prefix);
 
 }  // namespace gpo::core

@@ -1,6 +1,6 @@
-// ZddFamily — the fourth interchangeable set-family representation (next to
-// ExplicitFamily, BddFamily and InternedFamily): each family is one canonical
-// zero-suppressed decision diagram over the transition universe
+// ZddFamily — the set-family representation of the `gpo` engine (next to
+// ExplicitFamily, BddFamily and InternedFamily): each family is one
+// canonical zero-suppressed decision diagram over the transition universe
 // (src/bdd/zdd.hpp), all families of one analysis sharing a single manager.
 //
 // Where the FamilyInterner stores every distinct family as a full sorted
@@ -12,9 +12,7 @@
 // like InternedFamily's ids — and the interner's direct-mapped op cache
 // becomes the manager's node-level computed table.
 //
-// The manager is single-threaded; GpnAnalyzer<ZddFamily> runs only on the
-// sequential engine (core/gpo.cpp enforces this when dispatching
-// FamilyStore::kZdd).
+// The manager is single-threaded: one analysis, one thread.
 #pragma once
 
 #include <memory>

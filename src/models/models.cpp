@@ -4,8 +4,10 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "petri/builder.hpp"
+#include "util/parse_num.hpp"
 
 namespace gpo::models {
 
@@ -346,19 +348,54 @@ PetriNet make_random_net(const RandomNetParams& params) {
   return b.build();
 }
 
+namespace {
+
+/// The sized generators a spec can name, with the sizes a spec may ask
+/// for: the generator's own minimum up to a cap that keeps one net small
+/// enough to build on any host (rw grows quadratically, the rest linearly).
+struct SizedModel {
+  const char* name;
+  std::size_t min, max;
+  petri::PetriNet (*make)(std::size_t);
+};
+
+constexpr SizedModel kSizedModels[] = {
+    {"nsdp", 2, 10'000, make_nsdp},
+    {"asat", 2, 4'096, make_arbiter_tree},
+    {"over", 2, 10'000, make_overtake},
+    {"rw", 1, 1'000, make_readers_writers},
+    {"diamond", 1, 10'000, make_diamond},
+    {"chain", 1, 10'000, make_conflict_chain},
+    {"cyclic", 2, 10'000, make_cyclic_scheduler},
+    {"ring", 2, 10'000, make_slotted_ring},
+};
+
+const SizedModel* find_sized(std::string_view name) {
+  for (const SizedModel& m : kSizedModels)
+    if (name == m.name) return &m;
+  return nullptr;
+}
+
+}  // namespace
+
+std::optional<std::size_t> spec_size(const std::string& spec) {
+  const auto colon = spec.find(':');
+  const SizedModel* m = find_sized(std::string_view(spec).substr(0, colon));
+  if (m == nullptr) return std::nullopt;
+  if (colon == std::string::npos)
+    throw std::invalid_argument("model '" + spec + "' needs a size (" +
+                                m->name + ":N)");
+  try {
+    return util::parse_int<std::size_t>(
+        std::string_view(spec).substr(colon + 1), m->min, m->max);
+  } catch (const std::exception& e) {
+    throw std::invalid_argument("model '" + spec + "': size " + e.what());
+  }
+}
+
 std::optional<petri::PetriNet> make_by_spec(const std::string& spec) {
-  auto colon = spec.find(':');
-  std::string name = spec.substr(0, colon);
-  std::size_t n = 0;
-  if (colon != std::string::npos) n = std::stoul(spec.substr(colon + 1));
-  if (name == "nsdp") return make_nsdp(n);
-  if (name == "asat") return make_arbiter_tree(n);
-  if (name == "over") return make_overtake(n);
-  if (name == "rw") return make_readers_writers(n);
-  if (name == "diamond") return make_diamond(n);
-  if (name == "chain") return make_conflict_chain(n);
-  if (name == "cyclic") return make_cyclic_scheduler(n);
-  if (name == "ring") return make_slotted_ring(n);
+  const std::string name = spec.substr(0, spec.find(':'));
+  if (const SizedModel* m = find_sized(name)) return m->make(*spec_size(spec));
   if (name == "fig3") return make_fig3();
   if (name == "fig5") return make_fig5();
   if (name == "fig7") return make_fig7();

@@ -86,11 +86,18 @@ struct RandomNetParams {
 /// cross-engine property tests.
 [[nodiscard]] petri::PetriNet make_random_net(const RandomNetParams& params);
 
+/// The size a "name:N" spec asks a sized generator for (nsdp, asat, over,
+/// rw, diamond, chain, cyclic, ring), checked strictly: N must be a plain
+/// decimal integer within the generator's bounds (e.g. nsdp 2..10000,
+/// rw 1..1000), else std::invalid_argument. std::nullopt for names that
+/// take no size or are unknown.
+[[nodiscard]] std::optional<std::size_t> spec_size(const std::string& spec);
+
 /// Builds a model from a "name:size" spec ("nsdp:8", "rw:12", "fig7") — the
 /// shared lookup behind `julie --model`, batch manifests and the server's
 /// CHECK command. Names: nsdp, asat, over, rw, diamond, chain, cyclic, ring,
 /// fig3, fig5, fig7. Returns std::nullopt for an unknown name; throws
-/// std::invalid_argument/std::out_of_range on a malformed size.
+/// std::invalid_argument on a malformed or out-of-bounds size (spec_size).
 [[nodiscard]] std::optional<petri::PetriNet> make_by_spec(
     const std::string& spec);
 

@@ -43,6 +43,7 @@ Heartbeat::Heartbeat(MetricsRegistry& reg, const Tracer* tracer,
       out_(out),
       states_(reg.counter("progress.states")),
       frontier_(reg.gauge("progress.frontier")),
+      zdd_nodes_(reg.gauge("progress.zdd_nodes")),
       families_(reg.gauge("interner.families")) {}
 
 Heartbeat::~Heartbeat() { stop(); }
@@ -96,6 +97,10 @@ void Heartbeat::emit_line() {
                 human_rate(rate).c_str(), frontier_.value(),
                 human_bytes(static_cast<double>(peak_rss_bytes())).c_str());
   std::string text = line;
+  if (double nodes = zdd_nodes_.value(); nodes > 0) {
+    std::snprintf(line, sizeof(line), " zdd_nodes=%.0f", nodes);
+    text += line;
+  }
   if (double fam = families_.value(); fam > 0) {
     std::snprintf(line, sizeof(line), " families=%.0f", fam);
     text += line;

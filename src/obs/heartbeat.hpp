@@ -4,7 +4,7 @@
 // reads the live-progress metric slots and prints one line to stderr:
 //
 //   [progress 12.0s] states=1034212 (86k/s) frontier=4821 rss=182.4MB
-//                    families=5121 phase=engine/gpo/reduced-search
+//                    zdd_nodes=5121 phase=engine/gpo/reduced-search
 //
 // stdout is untouched, so `--quiet` pipelines stay one-line-per-engine.
 // The heartbeat reads only lock-free slots (Counter/Gauge loads) plus
@@ -17,7 +17,8 @@
 // on them existing):
 //   progress.states    Counter  states interned / events added so far
 //   progress.frontier  Gauge    current frontier / in-flight size
-//   interner.families  Gauge    hash-consed set-family occupancy
+//   progress.zdd_nodes Gauge    live nodes of the GPO engine's ZDD store
+//   interner.families  Gauge    hash-consed set-family occupancy (gpo-intern)
 #pragma once
 
 #include <ostream>
@@ -61,6 +62,7 @@ class Heartbeat {
 
   Counter& states_;
   Gauge& frontier_;
+  Gauge& zdd_nodes_;
   Gauge& families_;
 
   util::Stopwatch uptime_;

@@ -17,7 +17,7 @@
 // Naming convention: dotted lowercase paths. Engines publish their final
 // counters under a per-run prefix ("engine.full.", "safety.") and update the
 // global live-progress slots "progress.states" / "progress.frontier" /
-// "interner.families" that the heartbeat reads.
+// "progress.zdd_nodes" / "interner.families" that the heartbeat reads.
 #pragma once
 
 #include <atomic>

@@ -26,7 +26,7 @@
 //                   "states":.., "seconds":.., "aborted":false,
 //                   "aborted_phase":"", "counters":{...}} ],
 //     "jobs":    [ {"id":0, "model":"nsdp:6", "verdict":"deadlock",
-//                   "winner":"gpo-intern", "expect":"deadlock",
+//                   "winner":"gpo", "expect":"deadlock",
 //                   "expect_matched":true, "seconds":..,
 //                   "cancel_latency_seconds":..,
 //                   "engines":[...engine runs, with "cancelled"...]} ],
@@ -132,9 +132,6 @@ class RunReport {
     std::string model;
     std::string verdict;  // deadlock | no-deadlock | undecided | error
     std::string winner;
-    /// Family-store backend requested for the job's gpo racers
-    /// ("explicit" | "zdd"); "" = manifest default, omitted from the JSON.
-    std::string family_store;
     std::string expect;  // expected verdict from the manifest; "" = none
     bool expect_matched = true;
     double seconds = 0;
@@ -144,10 +141,6 @@ class RunReport {
     /// Net reduction applied once before the job's racers fanned out;
     /// absent when the manifest requested reduce=off (or nothing).
     std::optional<ReductionRun> reduction;
-    /// Non-fatal diagnostics from the racers ("<engine>: <message>"), e.g.
-    /// a threads= request the zdd store demoted to a sequential run.
-    /// Omitted from the JSON when empty.
-    std::vector<std::string> warnings;
     std::vector<EngineRun> engines;
   };
   void add_job(JobRun job) { jobs_.push_back(std::move(job)); }

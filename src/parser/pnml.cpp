@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "petri/builder.hpp"
+#include "util/parse_num.hpp"
 
 namespace gpo::parser {
 
@@ -218,17 +219,13 @@ std::string label_of(const XmlNode& node, const std::string& fallback) {
 /// instead of a diagnosable ParseError.
 int parse_int_strict(const std::string& t, std::size_t line,
                      const std::string& what) {
-  std::size_t first = (t[0] == '-' || t[0] == '+') ? 1 : 0;
-  bool digits = first < t.size();
-  for (std::size_t i = first; i < t.size(); ++i)
-    digits = digits && std::isdigit(static_cast<unsigned char>(t[i])) != 0;
-  if (!digits)
+  try {
+    return util::parse_int<int>(t);
+  } catch (const std::out_of_range&) {
+    throw ParseError(line, "PNML: " + what + " '" + t + "' out of range");
+  } catch (const std::invalid_argument&) {
     throw ParseError(line, "PNML: malformed " + what + " '" + t +
                                "' (expected an integer)");
-  try {
-    return std::stoi(t);
-  } catch (const std::exception&) {
-    throw ParseError(line, "PNML: " + what + " '" + t + "' out of range");
   }
 }
 

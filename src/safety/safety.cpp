@@ -157,7 +157,7 @@ SafetyResult check_safety(const PetriNet& net, const SafetyProperty& prop,
       opt.metrics = options.metrics;
       opt.metrics_prefix = "safety.";
       opt.tracer = options.tracer;
-      auto kind = options.engine == Engine::kGpo ? core::FamilyKind::kExplicit
+      auto kind = options.engine == Engine::kGpo ? core::FamilyKind::kZdd
                   : options.engine == Engine::kGpoInterned
                       ? core::FamilyKind::kInterned
                       : core::FamilyKind::kBdd;

@@ -68,7 +68,7 @@ enum class Engine {
 };
 
 struct SafetyOptions {
-  Engine engine = Engine::kGpoBdd;
+  Engine engine = Engine::kGpo;
   std::size_t max_states = std::numeric_limits<std::size_t>::max();
   double max_seconds = std::numeric_limits<double>::infinity();
   /// Cooperative cancellation, forwarded to the inner engine.

@@ -5,7 +5,9 @@
 #include <istream>
 #include <sstream>
 
+#include "models/models.hpp"
 #include "reduce/reduce.hpp"
+#include "util/parse_num.hpp"
 
 namespace gpo::service {
 
@@ -34,14 +36,13 @@ std::vector<std::string> split(const std::string& s, char sep) {
 }  // namespace
 
 const std::vector<std::string>& default_portfolio() {
-  static const std::vector<std::string> kDefault = {"gpo-intern", "por", "bdd",
+  static const std::vector<std::string> kDefault = {"gpo", "por", "bdd",
                                                     "unfold"};
   return kDefault;
 }
 
 bool is_known_engine(const std::string& name) {
-  static const char* kKnown[] = {"full",    "por",        "bdd",    "gpo",
-                                 "gpo-intern", "gpo-bdd", "unfold"};
+  static const char* kKnown[] = {"full", "por", "bdd", "gpo", "unfold"};
   return std::any_of(std::begin(kKnown), std::end(kKnown),
                      [&](const char* k) { return name == k; });
 }
@@ -51,6 +52,13 @@ JobSpec parse_job_line(const std::string& line, std::size_t line_no) {
   JobSpec spec;
   spec.line = line_no;
   if (!(in >> spec.model)) fail(line_no, "missing model");
+  if (!spec.model.ends_with(".net") && !spec.model.ends_with(".pnml")) {
+    try {
+      (void)models::spec_size(spec.model);
+    } catch (const std::invalid_argument& e) {
+      fail(line_no, e.what());
+    }
+  }
   std::string field;
   while (in >> field) {
     std::size_t eq = field.find('=');
@@ -66,25 +74,15 @@ JobSpec parse_job_line(const std::string& line, std::size_t line_no) {
           if (!is_known_engine(e))
             fail(line_no, "unknown engine '" + e + "'");
       } else if (key == "max-seconds") {
-        spec.max_seconds = std::stod(value);
-        if (!(spec.max_seconds > 0))
-          fail(line_no, "max-seconds must be positive");
+        spec.max_seconds = util::parse_double(
+            value, std::numeric_limits<double>::denorm_min());
       } else if (key == "max-states") {
-        spec.max_states = std::stoul(value);
-        if (spec.max_states == 0) fail(line_no, "max-states must be positive");
-      } else if (key == "family-store") {
-        if (value != "explicit" && value != "zdd")
-          fail(line_no,
-               "family-store must be explicit or zdd, got '" + value + "'");
-        spec.family_store = value;
+        spec.max_states = util::parse_int<std::size_t>(value, 1);
       } else if (key == "reduce") {
         if (!reduce::parse_reduce_level(value))
           fail(line_no, "reduce must be off, safe or aggressive, got '" +
                             value + "'");
         spec.reduce = value;
-      } else if (key == "threads") {
-        spec.threads = std::stoul(value);
-        if (spec.threads == 0) fail(line_no, "threads must be positive");
       } else if (key == "expect") {
         if (value != "deadlock" && value != "no-deadlock")
           fail(line_no, "expect must be deadlock or no-deadlock, got '" +
@@ -95,8 +93,8 @@ JobSpec parse_job_line(const std::string& line, std::size_t line_no) {
       }
     } catch (const ManifestError&) {
       throw;
-    } catch (const std::exception&) {
-      fail(line_no, "bad value for " + key + ": '" + value + "'");
+    } catch (const std::exception& e) {
+      fail(line_no, "bad value for " + key + ": " + e.what());
     }
   }
   return spec;

@@ -3,25 +3,19 @@
 // A manifest is a line-oriented job list consumed by `julie batch` (and, one
 // line at a time, by the server's CHECK command). Grammar, one job per line:
 //
-//   <model> [engines=E1,E2,..] [max-seconds=S] [max-states=N]
-//           [family-store=F] [reduce=L] [threads=T] [expect=V]
+//   <model> [engines=E1,E2,..] [max-seconds=S] [max-states=N] [reduce=L]
+//           [expect=V]
 //
-//   <model>       a built-in spec ("nsdp:8", "fig7") or a .net/.pnml path
-//   engines=      portfolio to race; default gpo-intern,por,bdd,unfold
+//   <model>       a built-in spec ("nsdp:8", "fig7") or a .net/.pnml path;
+//                 a spec's size is checked against the generator's bounds
+//   engines=      portfolio to race; default gpo,por,bdd,unfold
 //   max-seconds=  per-job wall budget shared by every racer (default 60)
 //   max-states=   state cap for the explicit racers
-//   family-store= "explicit" | "zdd" — family storage backend for the gpo
-//                 racers of this job (default explicit; zdd = canonical
-//                 zero-suppressed-DD store, lower memory, sequential)
 //   reduce=       "off" | "safe" | "aggressive" — structural net reduction
 //                 applied ONCE per job before the racers fan out (default
 //                 off); the job verdict transfers through the reduction
 //                 certificate and a winner's counterexample is mapped back
 //                 to and replayed on the original net
-//   threads=      worker threads for the gpo-intern racer's fork-join engine
-//                 (default 1). Other engines ignore it; combined with
-//                 family-store=zdd the run is demoted to sequential and the
-//                 job carries a warning in the report's jobs[].warnings
 //   expect=       expected verdict ("deadlock" | "no-deadlock"); batch mode
 //                 exits nonzero when a job's verdict disagrees — this is the
 //                 column the CI portfolio-smoke job asserts against
@@ -33,7 +27,9 @@
 //                   wins when both are given)
 //
 // '#' starts a comment (full line or trailing); blank lines are skipped.
-// Unknown keys, unknown engine names and malformed values are hard errors
+// Unknown keys, unknown engine names and malformed values (numbers are
+// parsed strictly: "12ab", "-3" and out-of-range sizes are rejected) are
+// hard errors
 // with the offending line number — a manifest typo must not silently shrink
 // a CI verification matrix.
 #pragma once
@@ -51,7 +47,7 @@ namespace gpo::service {
 inline constexpr double kDefaultJobSeconds = 60.0;
 
 /// The engine set a job races when the manifest names none: the fastest
-/// conclusive engine of each flavour (interned GPO, classical POR, symbolic,
+/// conclusive engine of each flavour (ZDD-backed GPO, classical POR, symbolic,
 /// unfolding) — deliberately diverse so structurally different nets each
 /// have a racer that suits them.
 [[nodiscard]] const std::vector<std::string>& default_portfolio();
@@ -65,15 +61,10 @@ struct JobSpec {
   std::vector<std::string> engines;  // empty = default_portfolio()
   double max_seconds = kDefaultJobSeconds;
   std::size_t max_states = std::numeric_limits<std::size_t>::max();
-  /// "" (engine default, i.e. explicit) | "explicit" | "zdd"; forwarded to
-  /// the gpo racers' GpoOptions::family_store.
-  std::string family_store;
   /// "" (default, off) | "off" | "safe" | "aggressive"; structural net
   /// reduction the scheduler applies once per job before racing (kept as
-  /// the manifest's string, same as family_store).
+  /// the manifest's string).
   std::string reduce;
-  /// Worker threads for the gpo-intern racer (1 = sequential engine).
-  std::size_t threads = 1;
   std::string expect;  // "" (none) | "deadlock" | "no-deadlock"
   std::size_t line = 0;  // 1-based manifest line, for diagnostics
 };

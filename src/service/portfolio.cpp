@@ -93,12 +93,8 @@ EngineOutcome run_gpo_kind(core::FamilyKind kind, const char* name,
   opt.stop_at_first_deadlock = true;
   opt.metrics = metrics;
   opt.metrics_prefix = std::string("engine.") + name + ".";
-  if (limits.family_store == "zdd")
-    opt.family_store = core::FamilyStore::kZdd;
-  if (kind == core::FamilyKind::kInterned) opt.num_threads = limits.threads;
   auto r = core::run_gpo(net, kind, opt);
   EngineOutcome out;
-  out.warnings = r.warnings;
   out.states = static_cast<double>(r.state_count);
   out.seconds = r.seconds;
   out.aborted_phase = r.interrupted_phase;
@@ -169,7 +165,7 @@ const EngineRegistry& default_engine_registry() {
     reg.add("bdd", run_bdd);
     reg.add("gpo", [](const petri::PetriNet& net, const RunLimits& l,
                       const util::CancelToken* c, obs::MetricsRegistry* m) {
-      return run_gpo_kind(core::FamilyKind::kExplicit, "gpo", net, l, c, m);
+      return run_gpo_kind(core::FamilyKind::kZdd, "gpo", net, l, c, m);
     });
     reg.add("gpo-intern",
             [](const petri::PetriNet& net, const RunLimits& l,

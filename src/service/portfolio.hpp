@@ -8,11 +8,8 @@
 // portfolio with early cancellation; the registry keeps the engine set
 // pluggable the way LTSmin's frontend/backend split does).
 //
-// Runners default to sequential engines (num_threads = 1): the service's
-// parallelism comes from racing engines and multiplexing jobs over one
-// global pool. A manifest can additionally opt a job into the gpo-intern
-// racer's intra-state fork-join engine with threads=N (RunLimits::threads)
-// when single-job latency matters more than batch throughput.
+// Runners are sequential engines: the service's parallelism comes from
+// racing engines and multiplexing jobs over one global pool.
 #pragma once
 
 #include <cstddef>
@@ -31,14 +28,6 @@ namespace gpo::service {
 struct RunLimits {
   std::size_t max_states = std::numeric_limits<std::size_t>::max();
   double max_seconds = std::numeric_limits<double>::infinity();
-  /// Family storage backend for the gpo racers: "" (default, explicit),
-  /// "explicit" or "zdd" (kept as the manifest's string so this header does
-  /// not depend on the core option enums; the gpo runners parse it).
-  std::string family_store;
-  /// Worker threads for the gpo-intern racer's fork-join engine (1 =
-  /// sequential). Engines without a parallel mode ignore it; combinations
-  /// that demote it (e.g. the zdd store) surface a warning in the outcome.
-  std::size_t threads = 1;
 };
 
 /// Outcome of one racer. `conclusive` is the race-deciding bit: true iff the
@@ -61,10 +50,6 @@ struct EngineOutcome {
   /// Winner's firing sequence into the deadlock, when the engine produces
   /// one (the GPO engines' replayed scenario, the explicit engines' trace).
   std::vector<petri::TransitionId> counterexample;
-  /// Non-fatal diagnostics from the run (e.g. "--threads demoted to
-  /// sequential"); the scheduler copies the winner's + losers' warnings into
-  /// jobs[].warnings of the batch report.
-  std::vector<std::string> warnings;
 };
 
 /// One engine wrapped for racing. The registry pointer may be null (no
@@ -88,9 +73,11 @@ class EngineRegistry {
   std::vector<std::pair<std::string, EngineRunner>> entries_;
 };
 
-/// The real engines: full, por, bdd, gpo, gpo-intern, gpo-bdd, and unfold
-/// (prefix construction + deadlock check through the complete prefix, so it
-/// races as a genuine verdict producer).
+/// The real engines: full, por, bdd, gpo (the GPN search over ZDD
+/// families), gpo-intern and gpo-bdd (the same search over interned
+/// explicit / BDD families), and unfold (prefix construction + deadlock
+/// check through the complete prefix, so it races as a genuine verdict
+/// producer).
 [[nodiscard]] const EngineRegistry& default_engine_registry();
 
 }  // namespace gpo::service

@@ -219,8 +219,6 @@ struct PortfolioScheduler::Impl {
       RunLimits limits;
       limits.max_states = js.spec.max_states;
       limits.max_seconds = js.spec.max_seconds;
-      limits.family_store = js.spec.family_store;
-      limits.threads = js.spec.threads;
       try {
         out = runner(*js.net, limits, &js.token, js.metrics.get());
       } catch (const std::exception& e) {
@@ -394,7 +392,6 @@ std::size_t PortfolioScheduler::submit(const JobSpec& spec) {
   }
   state->result.id = id;
   state->result.model = spec.model;
-  state->result.family_store = spec.family_store;
   state->result.expect = spec.expect;
 
   impl_->jobs_submitted.add();
@@ -585,15 +582,11 @@ void add_jobs_to_report(obs::RunReport& report,
     job.model = r.model;
     job.verdict = r.verdict;
     job.winner = r.winner;
-    job.family_store = r.family_store;
     job.expect = r.expect;
     job.expect_matched = r.expect_matched;
     job.seconds = r.seconds;
     job.cancel_latency_seconds = r.cancel_latency_seconds;
     job.reduction = r.reduction;
-    for (const EngineOutcome& o : r.engines)
-      for (const std::string& w : o.warnings)
-        job.warnings.push_back(o.engine + ": " + w);
     for (const EngineOutcome& o : r.engines) {
       obs::RunReport::EngineRun er;
       er.engine = o.engine;

@@ -9,7 +9,7 @@
 //        global WorkStealingQueues<Task> ┴ W workers (pool_threads)
 //
 //   * Every racer of every job is one task on the shared pool — there is no
-//     per-job --threads. Individual GPN graphs are tiny (frontier <= 2 on
+//     per-job thread count. Individual GPN graphs are tiny (frontier <= 2 on
 //     the paper's models), so cross-job/cross-racer parallelism is where the
 //     cores actually get used.
 //   * The first racer to return a conclusive verdict wins the job: its
@@ -56,9 +56,6 @@ struct JobResult {
   std::string verdict = "undecided";
   /// Racer whose conclusive answer became the verdict; empty otherwise.
   std::string winner;
-  /// Family-store backend the manifest requested for the gpo racers;
-  /// "" = default (explicit).
-  std::string family_store;
   std::string expect;          // from the manifest; "" = none
   bool expect_matched = true;  // false iff expect set and verdict differs
   std::string error;           // "error" verdicts: what went wrong

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "obs/diag.hpp"
@@ -13,6 +14,7 @@
 #include "obs/report.hpp"
 #include "service/scheduler.hpp"
 #include "service/server.hpp"
+#include "util/parse_num.hpp"
 
 namespace gpo::service {
 
@@ -57,10 +59,6 @@ void print_job(const JobResult& r) {
   if (r.cancel_latency_seconds > 0)
     std::cout << ", cancel latency " << r.cancel_latency_seconds << "s";
   std::cout << ")\n";
-  for (const EngineOutcome& o : r.engines)
-    for (const std::string& w : o.warnings)
-      std::cerr << "warning: job " << r.id << " " << o.engine << ": " << w
-                << "\n";
 }
 
 /// Stderr dump of the scheduler's own telemetry scope (--stats): one line
@@ -110,6 +108,17 @@ double parse_progress_arg(int argc, char** argv, int& i) {
   return 1.0;
 }
 
+/// The --pool-threads value (0 = hardware concurrency), or nullopt after
+/// printing why `text` is not one.
+std::optional<std::size_t> pool_threads_arg(const std::string& text) {
+  try {
+    return util::parse_int<std::size_t>(text, 0, 1024);
+  } catch (const std::exception& e) {
+    std::cerr << "--pool-threads: " << e.what() << "\n";
+    return std::nullopt;
+  }
+}
+
 }  // namespace
 
 int batch_main(int argc, char** argv) {
@@ -137,7 +146,9 @@ int batch_main(int argc, char** argv) {
     } else if (arg == "--stats") {
       want_stats = true;
     } else if (arg == "--pool-threads") {
-      sched.pool_threads = std::stoul(next());
+      auto n = pool_threads_arg(next());
+      if (!n) return 2;
+      sched.pool_threads = *n;
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--help" || arg == "-h" ||
@@ -233,7 +244,9 @@ int serve_main(int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--pool-threads" && i + 1 < argc) {
-      options.pool_threads = std::stoul(argv[++i]);
+      auto n = pool_threads_arg(argv[++i]);
+      if (!n) return 2;
+      options.pool_threads = *n;
     } else if (arg == "--events" && i + 1 < argc) {
       events_file = argv[++i];
     } else if (arg == "--progress") {

@@ -16,6 +16,13 @@ struct ModelCase {
   std::size_t param;
 };
 
+// gtest names each instance "... # GetParam() = <printed value>"; without
+// this printer the value is a byte dump of the struct, whose pointers change
+// with every address-space layout, so the test names would differ per run.
+void PrintTo(const ModelCase& c, std::ostream* os) {
+  *os << c.name << ":" << c.param;
+}
+
 PetriNet wrap_fig7(std::size_t) { return models::make_fig7(); }
 PetriNet wrap_fig3(std::size_t) { return models::make_fig3(); }
 

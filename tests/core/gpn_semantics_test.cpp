@@ -9,6 +9,7 @@
 #include <set>
 
 #include "core/gpn_analyzer.hpp"
+#include "core/zdd_family.hpp"
 #include "models/models.hpp"
 #include "petri/builder.hpp"
 #include "reach/explorer.hpp"
@@ -23,7 +24,7 @@ using petri::TransitionId;
 template <typename F>
 class GpnSemantics : public ::testing::Test {};
 
-using FamilyTypes = ::testing::Types<ExplicitFamily, BddFamily>;
+using FamilyTypes = ::testing::Types<ExplicitFamily, BddFamily, ZddFamily>;
 TYPED_TEST_SUITE(GpnSemantics, FamilyTypes);
 
 template <typename F>

@@ -14,12 +14,17 @@ using petri::PetriNet;
 
 class BothFamilies : public ::testing::TestWithParam<FamilyKind> {};
 
+// kZdd is the `gpo` engine's store; the others run the same search over the
+// explicit oracle, BDD and interned families.
 INSTANTIATE_TEST_SUITE_P(Kinds, BothFamilies,
                          ::testing::Values(FamilyKind::kExplicit,
                                            FamilyKind::kBdd,
-                                           FamilyKind::kInterned),
-                         [](const auto& info) {
-                           return family_kind_name(info.param);
+                                           FamilyKind::kInterned,
+                                           FamilyKind::kZdd),
+                         [](const auto& info) -> std::string {
+                           return info.param == FamilyKind::kZdd
+                                      ? "gpo"
+                                      : family_kind_name(info.param);
                          });
 
 TEST_P(BothFamilies, ConflictChainNeedsTwoStates) {
@@ -243,6 +248,29 @@ TEST(GpoExplicit, ThrowsPastR0CapAndBddDoesNot) {
   EXPECT_THROW((void)run_gpo(net, FamilyKind::kExplicit),
                std::length_error);
   auto r = run_gpo(net, FamilyKind::kBdd);
+  EXPECT_EQ(r.state_count, 2u);
+}
+
+TEST(GpoFamilies, ExplicitAndGpoAgreeOnModels) {
+  for (auto make : {+[] { return models::make_nsdp(4); },
+                    +[] { return models::make_arbiter_tree(4); },
+                    +[] { return models::make_overtake(4); },
+                    +[] { return models::make_readers_writers(6); },
+                    +[] { return models::make_conflict_chain(6); }}) {
+    PetriNet net = make();
+    auto e = run_gpo_explicit(net);
+    auto z = run_gpo(net);
+    EXPECT_EQ(e.state_count, z.state_count) << net.name();
+    EXPECT_EQ(e.deadlock_found, z.deadlock_found) << net.name();
+    EXPECT_EQ(e.multiple_steps, z.multiple_steps) << net.name();
+    EXPECT_EQ(e.single_steps, z.single_steps) << net.name();
+  }
+}
+
+TEST(GpoExplicit, ThrowsPastR0CapAndGpoDoesNot) {
+  PetriNet net = models::make_conflict_chain(24);  // 2^24 maximal sets
+  EXPECT_THROW((void)run_gpo_explicit(net), std::length_error);
+  auto r = run_gpo(net);
   EXPECT_EQ(r.state_count, 2u);
 }
 

@@ -1,7 +1,8 @@
-// Parity suite for the ZDD family backend: run_gpo with
-// FamilyStore::kZdd must be observationally identical to the seed
-// ExplicitFamily path — same state counts, step mix, verdicts and
-// fireability sets — on the paper's models and on random nets. The one
+// Parity suite for the `gpo` engine: run_gpo (ZDD store) must be
+// observationally identical to the paper-literal explicit oracle
+// (run_gpo_explicit) — same state counts, step mix, verdicts and
+// fireability sets — and both must agree with the exhaustive explorer's
+// deadlock verdict, on the paper's models and on random nets. The one
 // sanctioned divergence is *which* witness/counterexample is reported: the
 // ZDD enumerates members in diagram DFS order, not ExplicitFamily's sorted
 // order, so those are validated by replay instead of compared bitwise.
@@ -9,6 +10,7 @@
 
 #include "core/gpo.hpp"
 #include "models/models.hpp"
+#include "reach/explorer.hpp"
 
 namespace gpo::core {
 namespace {
@@ -16,10 +18,19 @@ namespace {
 using petri::PetriNet;
 
 void expect_zdd_parity(const PetriNet& net, const GpoOptions& base = {}) {
-  auto seed = run_gpo(net, FamilyKind::kExplicit, base);
-  GpoOptions zopt = base;
-  zopt.family_store = FamilyStore::kZdd;
-  auto zdd = run_gpo(net, FamilyKind::kExplicit, zopt);
+  auto seed = run_gpo_explicit(net, base);
+  auto zdd = run_gpo(net, base);
+
+  // Ground truth: the exhaustive explorer (unfiltered runs only — the
+  // witness filter asks a different question).
+  if (!base.required_witness_place && !zdd.limit_hit) {
+    reach::ExplorerOptions eopt;
+    eopt.max_seconds = 20;
+    auto full = reach::ExplicitExplorer(net, eopt).explore();
+    if (!full.limit_hit) {
+      EXPECT_EQ(full.deadlock_found, zdd.deadlock_found) << net.name();
+    }
+  }
 
   EXPECT_EQ(seed.state_count, zdd.state_count) << net.name();
   EXPECT_EQ(seed.edge_count, zdd.edge_count) << net.name();
@@ -48,13 +59,16 @@ void expect_zdd_parity(const PetriNet& net, const GpoOptions& base = {}) {
     }
   }
 
-  // Only the ZDD path reports zdd-flavoured family stats.
+  // Only the ZDD path reports store stats.
   EXPECT_FALSE(seed.family_stats.available) << net.name();
   ASSERT_TRUE(zdd.family_stats.available) << net.name();
   EXPECT_EQ(zdd.family_stats.backend, "zdd") << net.name();
   EXPECT_GT(zdd.family_stats.zdd_nodes, 0u) << net.name();
   EXPECT_GT(zdd.family_stats.families_bytes, 0u) << net.name();
   EXPECT_EQ(zdd.family_stats.distinct_families, 0u) << net.name();
+  EXPECT_LE(zdd.family_stats.op_cache_occupied,
+            zdd.family_stats.op_cache_capacity)
+      << net.name();
 }
 
 TEST(GpoZddParity, PaperModels) {
@@ -62,6 +76,7 @@ TEST(GpoZddParity, PaperModels) {
   expect_zdd_parity(models::make_conflict_chain(6));
   expect_zdd_parity(models::make_nsdp(4));
   expect_zdd_parity(models::make_arbiter_tree(4));
+  expect_zdd_parity(models::make_overtake(3));
   expect_zdd_parity(models::make_readers_writers(6));
   expect_zdd_parity(models::make_fig3());
   expect_zdd_parity(models::make_fig5());
@@ -84,30 +99,6 @@ TEST(GpoZddParity, StopAtFirstDeadlockAndWitnessFilter) {
   GpoOptions filt;
   filt.required_witness_place = net.find_place("hasL_0");
   expect_zdd_parity(net, filt);
-}
-
-TEST(GpoZddParity, ZddAppliesToInternedKindToo) {
-  // family_store=kZdd replaces the storage of both explicit-family kinds;
-  // the verdict must not depend on which one the caller started from.
-  PetriNet net = models::make_nsdp(4);
-  GpoOptions zopt;
-  zopt.family_store = FamilyStore::kZdd;
-  auto via_explicit = run_gpo(net, FamilyKind::kExplicit, zopt);
-  auto via_interned = run_gpo(net, FamilyKind::kInterned, zopt);
-  EXPECT_EQ(via_explicit.state_count, via_interned.state_count);
-  EXPECT_EQ(via_explicit.deadlock_found, via_interned.deadlock_found);
-  EXPECT_EQ(via_interned.family_stats.backend, "zdd");
-}
-
-TEST(GpoZddParity, BddKindIgnoresFamilyStore) {
-  // kBdd keeps its own symbolic representation; asking for zdd storage on
-  // it must be a no-op, not an error.
-  PetriNet net = models::make_fig7();
-  GpoOptions zopt;
-  zopt.family_store = FamilyStore::kZdd;
-  auto r = run_gpo(net, FamilyKind::kBdd, zopt);
-  EXPECT_TRUE(r.deadlock_found);
-  EXPECT_EQ(r.state_count, 3u);
 }
 
 TEST(GpoZddParity, RandomNets) {

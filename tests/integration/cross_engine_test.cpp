@@ -22,6 +22,7 @@ struct Verdicts {
   bool gpo_explicit;
   bool gpo_interned;
   bool gpo_bdd;
+  bool gpo;
   bool symbolic;
   double symbolic_states;
 };
@@ -33,11 +34,11 @@ Verdicts run_all(const PetriNet& net) {
   v.ground_states = ground.state_count;
   v.ground = ground.deadlock_found;
   v.por = por::StubbornExplorer(net).explore().deadlock_found;
-  v.gpo_explicit =
-      core::run_gpo(net, core::FamilyKind::kExplicit).deadlock_found;
+  v.gpo_explicit = core::run_gpo_explicit(net).deadlock_found;
   v.gpo_interned =
       core::run_gpo(net, core::FamilyKind::kInterned).deadlock_found;
   v.gpo_bdd = core::run_gpo(net, core::FamilyKind::kBdd).deadlock_found;
+  v.gpo = core::run_gpo(net).deadlock_found;
   auto sym = bdd::SymbolicReachability(net).analyze();
   EXPECT_FALSE(sym.blowup) << net.name();
   v.symbolic = sym.deadlock_found;
@@ -51,6 +52,7 @@ void expect_agreement(const PetriNet& net) {
   EXPECT_EQ(v.gpo_explicit, v.ground) << net.name();
   EXPECT_EQ(v.gpo_interned, v.ground) << net.name();
   EXPECT_EQ(v.gpo_bdd, v.ground) << net.name();
+  EXPECT_EQ(v.gpo, v.ground) << net.name();
   EXPECT_EQ(v.symbolic, v.ground) << net.name();
   EXPECT_EQ(v.symbolic_states, static_cast<double>(v.ground_states))
       << net.name();
@@ -98,12 +100,20 @@ TEST_P(RandomAgreement, AllEnginesMatchGroundTruth) {
     core::GpoOptions go;
     go.max_states = 500000;
     go.max_seconds = 30;
-    auto ge = core::run_gpo(net, core::FamilyKind::kExplicit, go);
+    auto ge = core::run_gpo_explicit(net, go);
     if (!ge.limit_hit) {
       EXPECT_EQ(ge.deadlock_found, ground.deadlock_found)
           << "GPO-explicit seed=" << seed;
       if (ge.deadlock_found) {
         EXPECT_TRUE(ge.witness_is_dead) << seed;
+      }
+    }
+    auto gz = core::run_gpo(net, go);
+    if (!gz.limit_hit) {
+      EXPECT_EQ(gz.deadlock_found, ground.deadlock_found)
+          << "GPO seed=" << seed;
+      if (!ge.limit_hit) {
+        EXPECT_EQ(gz.state_count, ge.state_count) << "GPO seed=" << seed;
       }
     }
     auto gi = core::run_gpo(net, core::FamilyKind::kInterned, go);
@@ -143,7 +153,7 @@ TEST(CrossEngine, GpoWitnessAlwaysVerifies) {
                     +[] { return models::make_conflict_chain(7); },
                     +[] { return models::make_diamond(6); }}) {
     PetriNet net = make();
-    auto r = core::run_gpo(net, core::FamilyKind::kBdd);
+    auto r = core::run_gpo(net);
     ASSERT_TRUE(r.deadlock_found) << net.name();
     ASSERT_TRUE(r.deadlock_witness.has_value()) << net.name();
     EXPECT_TRUE(net.is_deadlocked(*r.deadlock_witness)) << net.name();
@@ -157,7 +167,7 @@ TEST(CrossEngine, ReductionOrderingOnConflictChain) {
   PetriNet net = models::make_conflict_chain(n);
   auto full = reach::ExplicitExplorer(net).explore();
   auto por_r = por::StubbornExplorer(net).explore();
-  auto gpo_r = core::run_gpo(net, core::FamilyKind::kBdd);
+  auto gpo_r = core::run_gpo(net);
   std::size_t pow3 = 1;
   for (std::size_t i = 0; i < n; ++i) pow3 *= 3;
   EXPECT_EQ(full.state_count, pow3);

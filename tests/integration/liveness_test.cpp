@@ -50,7 +50,7 @@ TEST(Liveness, StubbornAgrees) {
 TEST(Liveness, GpoAgrees) {
   PetriNet net = net_with_dead_transition();
   for (auto kind : {core::FamilyKind::kExplicit, core::FamilyKind::kBdd,
-                    core::FamilyKind::kInterned}) {
+                    core::FamilyKind::kInterned, core::FamilyKind::kZdd}) {
     auto r = core::run_gpo(net, kind);
     EXPECT_FALSE(r.fireable_transitions.test(net.find_transition("d")));
     EXPECT_TRUE(r.fireable_transitions.test(net.find_transition("a")));
@@ -104,7 +104,7 @@ TEST(Liveness, RandomNetCertificatesAreSound) {
 
     core::GpoOptions go;
     go.max_seconds = 20;
-    auto gpo_r = core::run_gpo(net, core::FamilyKind::kExplicit, go);
+    auto gpo_r = core::run_gpo_explicit(net, go);
     if (!gpo_r.limit_hit) {
       EXPECT_TRUE(gpo_r.fireable_transitions.is_subset_of(
           ground.fireable_transitions))

@@ -256,5 +256,21 @@ TEST(Models, GrowthShapesMatchTable1) {
             3 * states(make_readers_writers(6)));
 }
 
+TEST(Models, SpecSizesAreStrictAndBoundedPerGenerator) {
+  EXPECT_EQ(spec_size("nsdp:8"), 8u);
+  EXPECT_EQ(spec_size("rw:1"), 1u);
+  EXPECT_EQ(spec_size("fig7"), std::nullopt);     // takes no size
+  EXPECT_EQ(spec_size("nosuch:3"), std::nullopt);  // unknown name
+  for (const char* bad : {"nsdp:-3", "nsdp:99999999999", "nsdp:1", "nsdp",
+                          "nsdp:", "nsdp:8x", "nsdp: 8", "rw:1001", "rw:0",
+                          "asat:1"})
+    EXPECT_THROW((void)spec_size(bad), std::invalid_argument) << bad;
+  EXPECT_THROW((void)make_by_spec("nsdp:-3"), std::invalid_argument);
+  auto net = make_by_spec("nsdp:3");
+  ASSERT_TRUE(net.has_value());
+  EXPECT_EQ(net->transition_count(), make_nsdp(3).transition_count());
+  EXPECT_FALSE(make_by_spec("nosuch:3").has_value());
+}
+
 }  // namespace
 }  // namespace gpo::models

@@ -184,7 +184,8 @@ TEST(Heartbeat, EmitLineFormatsLiveSlots) {
     Heartbeat hb(reg, &tracer, 10.0, out);
     reg.counter("progress.states").add(1234);
     reg.gauge("progress.frontier").set(55);
-    reg.gauge("interner.families").set(9);
+    reg.gauge("progress.zdd_nodes").set(9);
+    reg.gauge("interner.families").set(7);
     Span span(&tracer, "engine/gpo");
     hb.emit_line();
   }  // dtor stop() emits the final line
@@ -193,7 +194,8 @@ TEST(Heartbeat, EmitLineFormatsLiveSlots) {
   EXPECT_NE(text.find("states=1234"), std::string::npos) << text;
   EXPECT_NE(text.find("frontier=55"), std::string::npos) << text;
   EXPECT_NE(text.find("rss="), std::string::npos) << text;
-  EXPECT_NE(text.find("families=9"), std::string::npos) << text;
+  EXPECT_NE(text.find("zdd_nodes=9"), std::string::npos) << text;
+  EXPECT_NE(text.find("families=7"), std::string::npos) << text;
   EXPECT_NE(text.find("phase=engine/gpo"), std::string::npos) << text;
   // stop() printed exactly one more line after the explicit emit_line().
   EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
@@ -242,11 +244,11 @@ TEST(TelemetryParity, ExplorerAndGpoResultsUnchangedByRegistry) {
   EXPECT_EQ(reg.counter("full.states").value(), plain.state_count);
 
   core::GpoOptions gbase;
-  auto gplain = core::run_gpo(net, core::FamilyKind::kInterned, gbase);
+  auto gplain = core::run_gpo(net, gbase);
   core::GpoOptions ginst = gbase;
   ginst.metrics = &reg;
   ginst.tracer = &tracer;
-  auto gtraced = core::run_gpo(net, core::FamilyKind::kInterned, ginst);
+  auto gtraced = core::run_gpo(net, ginst);
   EXPECT_EQ(gplain.state_count, gtraced.state_count);
   EXPECT_EQ(gplain.deadlock_found, gtraced.deadlock_found);
   EXPECT_EQ(gplain.multiple_steps, gtraced.multiple_steps);

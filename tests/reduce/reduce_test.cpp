@@ -277,8 +277,7 @@ TEST(ReduceCertificate, GpoOptionMapsCounterexampleToOriginalNet) {
   PetriNet net = models::make_overtake(3);
   core::GpoOptions opt;
   opt.reduce_level = ReduceLevel::kAggressive;
-  core::GpoResult r =
-      core::run_gpo(net, core::FamilyKind::kInterned, opt);
+  core::GpoResult r = core::run_gpo(net, opt);
   ASSERT_TRUE(r.deadlock_found);
   if (!r.counterexample.empty()) {
     std::optional<Marking> end = replay_trace(net, r.counterexample);
@@ -303,7 +302,7 @@ TEST(ReduceCertificate, ReplayRejectsDisabledSteps) {
 // ---------------------------------------------------------------------------
 
 struct Verdicts {
-  bool full, por, bdd, gpo, gpo_intern, gpo_bdd;
+  bool full, por, bdd, gpo, gpo_explicit, gpo_intern, gpo_bdd;
 };
 
 Verdicts run_all_engines(const PetriNet& net) {
@@ -311,7 +310,8 @@ Verdicts run_all_engines(const PetriNet& net) {
   v.full = reach::ExplicitExplorer(net).explore().deadlock_found;
   v.por = por::StubbornExplorer(net).explore().deadlock_found;
   v.bdd = bdd::SymbolicReachability(net).analyze().deadlock_found;
-  v.gpo = core::run_gpo(net, core::FamilyKind::kExplicit).deadlock_found;
+  v.gpo = core::run_gpo(net).deadlock_found;
+  v.gpo_explicit = core::run_gpo_explicit(net).deadlock_found;
   v.gpo_intern =
       core::run_gpo(net, core::FamilyKind::kInterned).deadlock_found;
   v.gpo_bdd = core::run_gpo(net, core::FamilyKind::kBdd).deadlock_found;
@@ -327,6 +327,7 @@ TEST_P(ReduceParity, VerdictsIdenticalAcrossEnginesAndLevels) {
   EXPECT_EQ(base.full, base.por);
   EXPECT_EQ(base.full, base.bdd);
   EXPECT_EQ(base.full, base.gpo);
+  EXPECT_EQ(base.full, base.gpo_explicit);
   EXPECT_EQ(base.full, base.gpo_intern);
   EXPECT_EQ(base.full, base.gpo_bdd);
 
@@ -340,6 +341,8 @@ TEST_P(ReduceParity, VerdictsIdenticalAcrossEnginesAndLevels) {
     EXPECT_EQ(v.por, base.full) << GetParam() << " por @" << lvl;
     EXPECT_EQ(v.bdd, base.full) << GetParam() << " bdd @" << lvl;
     EXPECT_EQ(v.gpo, base.full) << GetParam() << " gpo @" << lvl;
+    EXPECT_EQ(v.gpo_explicit, base.full)
+        << GetParam() << " explicit oracle @" << lvl;
     EXPECT_EQ(v.gpo_intern, base.full)
         << GetParam() << " gpo-intern @" << lvl;
     EXPECT_EQ(v.gpo_bdd, base.full) << GetParam() << " gpo-bdd @" << lvl;

@@ -21,27 +21,54 @@ TEST(Manifest, ModelOnlyLineGetsDefaults) {
 
 TEST(Manifest, AllKeysParse) {
   JobSpec job = parse_job_line(
-      "examples/nets/fig7.net engines=gpo-intern,por max-seconds=2.5 "
-      "max-states=1000 family-store=zdd expect=deadlock",
+      "examples/nets/fig7.net engines=gpo,por max-seconds=2.5 "
+      "max-states=1000 reduce=safe expect=deadlock",
       7);
   EXPECT_EQ(job.model, "examples/nets/fig7.net");
   ASSERT_EQ(job.engines.size(), 2u);
-  EXPECT_EQ(job.engines[0], "gpo-intern");
+  EXPECT_EQ(job.engines[0], "gpo");
   EXPECT_EQ(job.engines[1], "por");
   EXPECT_DOUBLE_EQ(job.max_seconds, 2.5);
   EXPECT_EQ(job.max_states, 1000u);
-  EXPECT_EQ(job.family_store, "zdd");
+  EXPECT_EQ(job.reduce, "safe");
   EXPECT_EQ(job.expect, "deadlock");
   EXPECT_EQ(job.line, 7u);
 }
 
-TEST(Manifest, FamilyStoreDefaultsEmptyAndValidates) {
-  EXPECT_TRUE(parse_job_line("nsdp:8").family_store.empty());
-  EXPECT_EQ(parse_job_line("nsdp:8 family-store=explicit").family_store,
-            "explicit");
-  EXPECT_EQ(parse_job_line("nsdp:8 family-store=zdd").family_store, "zdd");
-  EXPECT_THROW((void)parse_job_line("nsdp:8 family-store=bdd"), ManifestError);
-  EXPECT_THROW((void)parse_job_line("nsdp:8 family-store="), ManifestError);
+TEST(Manifest, RetiredFamilyStoreAndThreadsKeysAreUnknown) {
+  // gpo is the ZDD store (no family-store axis is left to pick) and racers
+  // run sequentially (no per-job thread count): both keys are plain unknown
+  // keys now.
+  for (const char* line : {"nsdp:8 family-store=zdd", "nsdp:8 threads=4"}) {
+    try {
+      (void)parse_job_line(line);
+      ADD_FAILURE() << line << " parsed";
+    } catch (const ManifestError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Manifest, NumbersAreParsedStrictly) {
+  // Trailing junk, signs on counts and out-of-range model sizes are errors
+  // with a message, never a silent wrap or truncation.
+  for (const char* line :
+       {"fig7 max-states=12ab", "fig7 max-states=-3", "fig7 max-states= 5",
+        "fig7 max-states=99999999999999999999", "fig7 max-seconds=1s",
+        "fig7 max-seconds=nan", "fig7 max-seconds=-2", "nsdp:-3",
+        "nsdp:99999999999", "nsdp:abc", "nsdp:1", "nsdp", "rw:1001",
+        "asat:4x"}) {
+    EXPECT_THROW((void)parse_job_line(line), ManifestError) << line;
+  }
+  EXPECT_EQ(parse_job_line("nsdp:10000").model, "nsdp:10000");
+  EXPECT_EQ(parse_job_line("fig7 max-states=+7").max_states, 7u);
+  EXPECT_DOUBLE_EQ(parse_job_line("fig7 max-seconds=inf").max_seconds,
+                   std::numeric_limits<double>::infinity());
+  // Names that are not sized generators, and net files, pass through to
+  // the loader.
+  EXPECT_EQ(parse_job_line("nosuch:3").model, "nosuch:3");
+  EXPECT_EQ(parse_job_line("rw:2.net").model, "rw:2.net");
 }
 
 TEST(Manifest, CommentsAndBlankLinesAreSkipped) {

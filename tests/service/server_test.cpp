@@ -56,7 +56,9 @@ TEST(Server, ChecksYieldVerdictsAndBye) {
   ASSERT_FALSE(lines.empty());
   EXPECT_EQ(lines.front().rfind("READY 2 ", 0), 0u) << lines.front();
   // Every registered engine is advertised in the READY line.
-  EXPECT_NE(lines.front().find("gpo-intern"), std::string::npos);
+  for (const char* engine :
+       {"full", "por", "bdd", "gpo", "gpo-intern", "gpo-bdd", "unfold"})
+    EXPECT_NE(lines.front().find(engine), std::string::npos) << engine;
 
   auto v = verdicts(lines);
   ASSERT_EQ(v.size(), 2u);
@@ -88,12 +90,16 @@ TEST(Server, MalformedLinesGetErrAndDoNotKillTheSession) {
   auto lines = run_server(
       "PING\n"
       "CHECK fig7 engines=smt\n"
+      "CHECK nsdp:-3\n"
+      "CHECK nsdp:99999999999\n"
+      "CHECK fig7 max-states=12ab\n"
       "CHECK fig7\n"
       "QUIT\n");
   std::size_t errs = 0;
   for (const std::string& l : lines)
     if (l.rfind("ERR", 0) == 0) ++errs;
-  EXPECT_EQ(errs, 2u) << "unknown verb + unknown engine";
+  EXPECT_EQ(errs, 5u)
+      << "unknown verb + unknown engine + two bad sizes + a bad number";
   ASSERT_EQ(verdicts(lines).size(), 1u);
   EXPECT_EQ(lines.back(), "BYE 1");
 }
