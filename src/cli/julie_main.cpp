@@ -82,7 +82,8 @@ int usage(const char* argv0) {
       << "                     via the deadlock reduction (uses --engine)\n"
       << "  --liveness         report transitions that can never fire\n"
       << "  --structure        siphon/trap and invariant analysis\n"
-      << "  --max-states N     state cap for explicit engines\n"
+      << "  --max-states N     state cap for explicit engines (cut cap\n"
+      << "                     for unfold's deadlock check)\n"
       << "  --max-seconds S    wall-clock cap per engine\n"
       << "  --threads N        worker threads; honored by the exhaustive\n"
       << "                     engine (full) and the interned GPO engine\n"
@@ -657,16 +658,17 @@ int main(int argc, char** argv) {
                r.seconds};
       } else if (e == "unfold") {
         gpo::unfold::UnfoldOptions opt;
+        opt.max_seconds = max_seconds;
         opt.metrics = reg;
         opt.metrics_prefix = prefix;
+        opt.tracer = tr;
         gpo::util::Stopwatch watch;
-        auto p = gpo::unfold::unfold(*analysis_net, opt);
-        row.seconds = watch.elapsed_seconds();
-        row.aborted = p.limit_hit;
-        std::cout << "  unfold: events=" << p.events.size()
-                  << " conditions=" << p.conditions.size()
-                  << " cutoffs=" << p.cutoff_count
-                  << (p.limit_hit ? " (limit hit)" : "") << "\n";
+        auto r = gpo::unfold::deadlock_via_unfolding(*analysis_net, opt,
+                                                     max_states);
+        row = {e,           static_cast<double>(r.cuts_explored),
+               0,           r.deadlock_found,
+               r.limit_hit, r.interrupted_phase,
+               watch.elapsed_seconds()};
       } else if (e == "gpo" || e == "gpo-bdd" || e == "gpo-intern") {
         gpo::core::GpoOptions opt;
         opt.max_states = max_states;
@@ -696,10 +698,8 @@ int main(int argc, char** argv) {
       report.add_engine(std::move(er));
       return;
     }
-    if (e != "unfold") {
-      any_deadlock |= row.deadlock && !row.aborted;
-      print_row(row);
-    }
+    any_deadlock |= row.deadlock && !row.aborted;
+    print_row(row);
     // A limit abort is the "soft crash" case: leave the same forensic
     // breadcrumbs (phase, metrics) the fatal-signal handler would.
     if (row.aborted && telemetry) {
@@ -711,11 +711,10 @@ int main(int argc, char** argv) {
     gpo::obs::RunReport::EngineRun er;
     er.engine = e;
     er.model = model_spec.empty() ? net_file : model_spec;
-    er.verdict = e == "unfold"  ? "unfolded"
-                 : row.aborted  ? "aborted"
+    er.verdict = row.aborted    ? "aborted"
                  : row.deadlock ? "deadlock"
                                 : "no-deadlock";
-    er.states = e == "unfold" ? -1 : row.states;
+    er.states = row.states;
     er.seconds = row.seconds;
     er.aborted = row.aborted;
     er.aborted_phase = row.aborted_phase;

@@ -112,23 +112,14 @@ EngineOutcome run_unfold(const petri::PetriNet& net, const RunLimits& limits,
   opt.cancel = cancel;
   opt.metrics = metrics;
   opt.metrics_prefix = "engine.unfold.";
-  auto prefix = unfold::unfold(net, opt);
+  // Prefix construction, then the cut-off-free cut search through the
+  // complete prefix, under one deadline.
+  auto r = unfold::deadlock_via_unfolding(net, opt, limits.max_states);
   EngineOutcome out;
-  if (prefix.limit_hit) {
-    out.seconds = watch.elapsed_seconds();
-    out.aborted_phase = "prefix-construction";
-    finish_outcome(out, false, true, cancel);
-    return out;
-  }
-  // The prefix is complete: the original net deadlocks iff some reachable
-  // cut of the prefix maps to a dead marking, which makes the unfolder a
-  // genuine verdict-producing racer rather than a statistics pass.
-  auto dead = unfold::deadlock_via_prefix(net, prefix, limits.max_states,
-                                          cancel);
-  out.states = static_cast<double>(dead.cuts_explored);
+  out.states = static_cast<double>(r.cuts_explored);
   out.seconds = watch.elapsed_seconds();
-  if (dead.limit_hit) out.aborted_phase = "prefix-deadlock-check";
-  finish_outcome(out, dead.deadlock_found, dead.limit_hit, cancel);
+  out.aborted_phase = r.interrupted_phase;
+  finish_outcome(out, r.deadlock_found, r.limit_hit, cancel);
   return out;
 }
 

@@ -18,6 +18,32 @@ namespace {
 
 namespace json = obs::json;
 
+/// Longest request line the server keeps. A job line is a model spec or a
+/// file path plus a few key=value words; the cap only stops a newline-free
+/// stream from growing the server without bound.
+constexpr std::size_t kMaxLineBytes = 64 * 1024;
+
+/// std::getline with a length cap: reads the next line into `line` and
+/// returns false at end of input. Past kMaxLineBytes the rest of the line is
+/// discarded up to its newline and `too_long` is set.
+bool read_line(std::istream& in, std::string& line, bool& too_long) {
+  line.clear();
+  too_long = false;
+  std::streambuf* buf = in.rdbuf();
+  bool any = false;
+  for (int ch = buf->sbumpc(); ch != std::char_traits<char>::eof();
+       ch = buf->sbumpc()) {
+    if (ch == '\n') return true;
+    any = true;
+    if (line.size() < kMaxLineBytes)
+      line.push_back(static_cast<char>(ch));
+    else
+      too_long = true;
+  }
+  in.setstate(std::ios::eofbit);
+  return any;
+}
+
 std::string format_verdict(const JobResult& r) {
   std::ostringstream line;
   line << "VERDICT " << r.id << ' ' << r.verdict;
@@ -165,8 +191,16 @@ std::size_t serve(std::istream& in, std::ostream& out,
 
   std::string line;
   std::size_t line_no = 0;
-  while (std::getline(in, line)) {
+  bool too_long = false;
+  while (read_line(in, line, too_long)) {
     ++line_no;
+    if (too_long) {
+      std::lock_guard<std::mutex> lock(out_mu);
+      out << "ERR line " << line_no << ": line too long (over "
+          << kMaxLineBytes << " bytes)\n"
+          << std::flush;
+      continue;
+    }
     std::istringstream words(line);
     std::string verb;
     words >> verb;

@@ -16,7 +16,8 @@
 //   server -> client
 //     READY <pool-threads> <engines-csv>           # once, at startup
 //     JOB <id>                                     # ack: CHECK was accepted
-//     ERR <message>                                # the CHECK was malformed
+//     ERR <message>                                # the line was malformed
+//                                                  #   or too long
 //     VERDICT <id> <verdict> winner=<w> seconds=<s> cancel-latency=<s>
 //     STATS <one-line JSON>                        # uptime, job counts,
 //                                                  #   queue depth, peak RSS,
@@ -32,8 +33,11 @@
 // return immediately even while slow jobs are racing — the protocol test
 // proves a reply arrives while a job is still blocked.
 //
-// EOF on the input behaves like QUIT. Replies are serialized through one
-// output mutex because VERDICT lines are pushed from pool worker threads.
+// A request line longer than 64 KiB is discarded up to its newline and
+// answered "ERR line N: line too long", so a newline-free stream cannot grow
+// the server without bound. EOF on the input behaves like QUIT. Replies are
+// serialized through one output mutex because VERDICT lines are pushed from
+// pool worker threads.
 #pragma once
 
 #include <iosfwd>

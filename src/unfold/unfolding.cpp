@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "petri/builder.hpp"
-#include "reach/explorer.hpp"
 #include "util/stopwatch.hpp"
 
 namespace gpo::unfold {
@@ -115,23 +114,25 @@ class Unfolder {
     return config;
   }
 
-  /// Mark(C ∪ {e}) where the event itself consumes `preset` and produces
-  /// into `post_places`.
+  /// Mark(C ∪ {e}) where the event itself fires `tr`: the token count of
+  /// every place is M0 + Σ post − Σ pre over the transitions of C ∪ {e}.
   Marking mark_of(const std::vector<std::size_t>& config,
-                  const std::vector<std::size_t>& preset,
-                  const petri::Transition& tr) const {
-    std::vector<bool> present(prefix_.conditions.size(), false);
-    for (std::size_t c = 0; c < prefix_.conditions.size(); ++c)
-      if (prefix_.conditions[c].producer == kNoEvent) present[c] = true;
-    for (std::size_t e : config) {
-      for (std::size_t c : prefix_.events[e].preset) present[c] = false;
-      for (std::size_t c : prefix_.events[e].postset) present[c] = true;
-    }
-    for (std::size_t c : preset) present[c] = false;
+                  const petri::Transition& tr) {
+    tokens_.assign(net_.place_count(), 0);
+    const Marking& m0 = net_.initial_marking();
+    for (std::size_t p = m0.find_first(); p < m0.size();
+         p = m0.find_next(p + 1))
+      tokens_[p] = 1;
+    auto fire = [&](const petri::Transition& t) {
+      for (PlaceId p : t.pre) --tokens_[p];
+      for (PlaceId p : t.post) ++tokens_[p];
+    };
+    for (std::size_t e : config)
+      fire(net_.transition(prefix_.events[e].transition));
+    fire(tr);
     Marking m(net_.place_count());
-    for (std::size_t c = 0; c < prefix_.conditions.size(); ++c)
-      if (present[c]) m.set(prefix_.conditions[c].place);
-    m |= tr.post_bits;
+    for (std::size_t p = 0; p < tokens_.size(); ++p)
+      if (tokens_[p] > 0) m.set(p);
     return m;
   }
 
@@ -142,7 +143,7 @@ class Unfolder {
     ev.transition = cand.transition;
     ev.preset = cand.preset;
     ev.local_size = config.size() + 1;
-    ev.mark = mark_of(config, cand.preset, tr);
+    ev.mark = mark_of(config, tr);
 
     // McMillan cut-off: a smaller configuration already produced this mark.
     auto it = seen_marks_.find(ev.mark);
@@ -220,7 +221,10 @@ class Unfolder {
       if (prefix_.conditions[d].place != rest[idx] || !extendable_[d])
         continue;
       chosen.push_back(d);
-      search_presets(t, rest, idx + 1, chosen, intersect(allowed, co_[d]));
+      // The last input needs no further co-set: skip the intersection.
+      search_presets(t, rest, idx + 1, chosen,
+                     idx + 1 < rest.size() ? intersect(allowed, co_[d])
+                                           : std::vector<std::size_t>{});
       chosen.pop_back();
     }
   }
@@ -232,6 +236,7 @@ class Unfolder {
   std::vector<std::vector<std::size_t>> co_;       // per condition, sorted
   std::vector<bool> extendable_;                   // false past cut-offs
   std::vector<std::vector<std::size_t>> configs_;  // per event, sorted
+  std::vector<int> tokens_;                        // mark_of scratch
   std::unordered_map<Marking, std::size_t> seen_marks_;
   std::priority_queue<Candidate, std::vector<Candidate>,
                       std::greater<Candidate>>
@@ -281,34 +286,188 @@ Marking cut_to_marking(const PetriNet& net, const Prefix& prefix,
   return m;
 }
 
-}  // namespace gpo::unfold
+namespace {
 
-namespace gpo::unfold {
+/// Depth-first enumeration of the prefix's cut-off-free configurations, each
+/// exactly once and without a visited set: a configuration is reached only
+/// from its canonical parent, the configuration without its highest-numbered
+/// maximal event. The search keeps one cut (a bitset over conditions) and
+/// the configuration's maximal events, and undoes each event on the way
+/// back.
+class CutSearch {
+ public:
+  CutSearch(const PetriNet& net, const Prefix& prefix)
+      : net_(net),
+        prefix_(prefix),
+        consumers_(prefix.conditions.size()),
+        cut_(prefix.conditions.size()),
+        maximal_(prefix.events.size()) {
+    // Each non-cut-off event is listed under the first condition of its
+    // preset, so scanning a cut finds every enabled event once.
+    for (std::size_t e = 0; e < prefix.events.size(); ++e)
+      if (!prefix.events[e].cutoff && !prefix.events[e].preset.empty())
+        consumers_[prefix.events[e].preset.front()].push_back(e);
+    for (std::size_t c = 0; c < prefix.conditions.size(); ++c)
+      if (prefix.conditions[c].producer == kNoEvent) cut_.set(c);
+  }
+
+  PrefixDeadlockResult run(std::size_t max_cuts,
+                           const util::CancelToken* cancel,
+                           double max_seconds) {
+    util::Stopwatch timer;
+    PrefixDeadlockResult result;
+    // One frame per event on the current path (the root applies none). A
+    // frame's children are pending_[begin, end), where end is the next
+    // frame's begin, or pending_.size() for the last frame.
+    struct Frame {
+      std::size_t event;
+      std::size_t begin;
+      std::size_t next;  // first child not yet visited
+    };
+    std::vector<Frame> frames{{kNoEvent, 0, 0}};
+    result.cuts_explored = 1;
+    expand(result);
+    while (!frames.empty() && !result.deadlock_found) {
+      Frame& top = frames.back();
+      if (top.next == pending_.size()) {  // every child visited: back up
+        if (top.event != kNoEvent) undo(top.event);
+        pending_.resize(top.begin);
+        frames.pop_back();
+        continue;
+      }
+      if (result.cuts_explored >= max_cuts ||
+          timer.elapsed_seconds() > max_seconds ||
+          util::cancel_requested(cancel)) {
+        result.limit_hit = true;
+        result.interrupted_phase = "prefix-deadlock-check";
+        break;
+      }
+      const std::size_t e = pending_[top.next++];
+      apply(e);
+      ++result.cuts_explored;
+      frames.push_back({e, pending_.size(), pending_.size()});
+      expand(result);
+    }
+    return result;
+  }
+
+ private:
+  /// Appends the canonical children of the current configuration to
+  /// pending_. With no event enabled, maps the cut back and records a
+  /// deadlock if its marking is dead (an event enabled means a transition
+  /// enabled, so only such cuts can be dead).
+  void expand(PrefixDeadlockResult& result) {
+    bool any_enabled = false;
+    const std::size_t n = cut_.size();
+    for (std::size_t c = cut_.find_first(); c < n; c = cut_.find_next(c + 1))
+      for (std::size_t e : consumers_[c]) {
+        const std::vector<std::size_t>& pre = prefix_.events[e].preset;
+        if (!std::all_of(pre.begin() + 1, pre.end(),
+                         [&](std::size_t b) { return cut_.test(b); }))
+          continue;
+        any_enabled = true;
+        if (canonical(e)) pending_.push_back(e);
+      }
+    if (any_enabled) return;
+    Marking m = cut_to_marking(net_, prefix_, cut_);
+    if (net_.is_deadlocked(m)) {
+      result.deadlock_found = true;
+      result.witness = std::move(m);
+    }
+  }
+
+  /// True iff e, enabled at the current configuration C, is the
+  /// highest-numbered maximal event of C ∪ {e}: every maximal event of C
+  /// that does not produce e's preset has a smaller number.
+  bool canonical(std::size_t e) const {
+    const std::vector<std::size_t>& pre = prefix_.events[e].preset;
+    const std::size_t count = maximal_.size();
+    // maximal_ holds event f at bit count-1-f: find_first is the highest.
+    for (std::size_t i = maximal_.find_first(); i < count;
+         i = maximal_.find_next(i + 1)) {
+      const std::size_t f = count - 1 - i;
+      if (std::none_of(pre.begin(), pre.end(), [&](std::size_t b) {
+            return prefix_.conditions[b].producer == f;
+          }))
+        return f < e;
+    }
+    return true;
+  }
+
+  void apply(std::size_t e) {
+    const Event& ev = prefix_.events[e];
+    for (std::size_t b : ev.preset) {
+      cut_.reset(b);
+      std::size_t f = prefix_.conditions[b].producer;
+      if (f != kNoEvent) maximal_.reset(maximal_.size() - 1 - f);
+    }
+    for (std::size_t b : ev.postset) cut_.set(b);
+    maximal_.set(maximal_.size() - 1 - e);
+  }
+
+  void undo(std::size_t e) {
+    const Event& ev = prefix_.events[e];
+    maximal_.reset(maximal_.size() - 1 - e);
+    for (std::size_t b : ev.postset) cut_.reset(b);
+    for (std::size_t b : ev.preset) cut_.set(b);
+    // A producer is maximal again once its whole postset is back in the cut.
+    for (std::size_t b : ev.preset) {
+      std::size_t f = prefix_.conditions[b].producer;
+      if (f == kNoEvent) continue;
+      const std::vector<std::size_t>& post = prefix_.events[f].postset;
+      if (std::all_of(post.begin(), post.end(),
+                      [&](std::size_t d) { return cut_.test(d); }))
+        maximal_.set(maximal_.size() - 1 - f);
+    }
+  }
+
+  const PetriNet& net_;
+  const Prefix& prefix_;
+  std::vector<std::vector<std::size_t>> consumers_;
+  Marking cut_;                       // conditions of the configuration
+  util::Bitset maximal_;              // its maximal events, bit reversed
+  std::vector<std::size_t> pending_;  // children still to visit, per frame
+};
+
+}  // namespace
 
 PrefixDeadlockResult deadlock_via_prefix(const PetriNet& net,
                                          const Prefix& prefix,
                                          std::size_t max_cuts,
-                                         const util::CancelToken* cancel) {
-  PrefixDeadlockResult result;
-  PetriNet occurrence = prefix_as_net(net, prefix);
-  reach::ExplorerOptions opt;
-  opt.max_states = max_cuts;
-  opt.cancel = cancel;
-  // Note: no stop_at_first_deadlock — a deadlock of the *occurrence net*
-  // (a cut-off frontier) is not a deadlock of the original net; only the
-  // predicate below decides.
-  opt.bad_state = [&](const Marking& cut) {
-    Marking m = cut_to_marking(net, prefix, cut);
-    if (!net.is_deadlocked(m)) return false;
-    if (!result.deadlock_found) {
-      result.deadlock_found = true;
-      result.witness = std::move(m);
-    }
-    return true;
+                                         const util::CancelToken* cancel,
+                                         double max_seconds) {
+  return CutSearch(net, prefix).run(max_cuts, cancel, max_seconds);
+}
+
+PrefixDeadlockResult deadlock_via_unfolding(const PetriNet& net,
+                                            const UnfoldOptions& options,
+                                            std::size_t max_cuts) {
+  util::Stopwatch timer;
+  obs::MetricsRegistry* reg = options.metrics;
+  auto phase_timer = [&](const char* name) {
+    return reg != nullptr ? &reg->timer(options.metrics_prefix + name)
+                          : nullptr;
   };
-  auto r = reach::ExplicitExplorer(occurrence, opt).explore();
-  result.cuts_explored = r.state_count;
-  result.limit_hit = r.limit_hit;
+  PrefixDeadlockResult result;
+  Prefix prefix;
+  {
+    obs::Span span(options.tracer, "prefix-construction");
+    obs::ScopedTimer t(phase_timer("prefix_seconds"));
+    prefix = unfold(net, options);
+  }
+  if (prefix.limit_hit) {
+    result.limit_hit = true;
+    result.interrupted_phase = "prefix-construction";
+    return result;
+  }
+  {
+    obs::Span span(options.tracer, "prefix-deadlock-check");
+    obs::ScopedTimer t(phase_timer("check_seconds"));
+    result = deadlock_via_prefix(net, prefix, max_cuts, options.cancel,
+                                 options.max_seconds - timer.elapsed_seconds());
+  }
+  if (reg != nullptr)
+    reg->counter(options.metrics_prefix + "cuts").store(result.cuts_explored);
   return result;
 }
 

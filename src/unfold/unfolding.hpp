@@ -12,8 +12,10 @@
 // |[e]| and stops at *cut-off events* whose final marking Mark([e]) was
 // already produced by a smaller configuration. For safe nets the prefix is
 // finite and complete: every reachable marking is the cut of one of its
-// configurations (tested literally in tests/unfold by replaying the prefix
-// as a Petri net and comparing reachable-marking sets).
+// configurations, and even of one that contains no cut-off event
+// [Esparza-Römer-Vogler; the argument behind Melzer-Römer's deadlock check,
+// CAV'97]. Both statements are tested literally in tests/unfold by replaying
+// the prefix as a Petri net and comparing reachable-marking sets.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "petri/net.hpp"
 #include "util/cancel_token.hpp"
 
@@ -52,7 +55,8 @@ struct UnfoldOptions {
   std::size_t max_events = 100'000;
   std::size_t max_conditions = 1'000'000;
   /// Abort the construction after this much wall-clock time (limit_hit=true;
-  /// the prefix is then not complete).
+  /// the prefix is then not complete). deadlock_via_unfolding() spends one
+  /// such budget on both of its phases.
   double max_seconds = std::numeric_limits<double>::infinity();
   /// Cooperative cancellation; a fired token stops the construction with
   /// limit_hit=true (the prefix is then not complete).
@@ -60,8 +64,13 @@ struct UnfoldOptions {
   /// Optional telemetry sink: each appended event bumps "progress.states"
   /// (events are the unfolder's unit of work) and the final
   /// events/conditions/cutoff counters are published under `metrics_prefix`.
+  /// deadlock_via_unfolding() adds the "cuts" counter and the
+  /// "prefix_seconds"/"check_seconds" timers.
   obs::MetricsRegistry* metrics = nullptr;
   std::string metrics_prefix = "unfold.";
+  /// Optional phase tracer: deadlock_via_unfolding() opens the spans
+  /// "prefix-construction" and "prefix-deadlock-check".
+  obs::Tracer* tracer = nullptr;
 };
 
 struct Prefix {
@@ -94,17 +103,34 @@ struct Prefix {
 struct PrefixDeadlockResult {
   bool deadlock_found = false;
   std::optional<petri::Marking> witness;  // marking of the original net
+  /// Cuts the search visited (distinct: one per cut-off-free configuration).
   std::size_t cuts_explored = 0;
   bool limit_hit = false;
+  /// The phase a limit or the cancel interrupted: "prefix-construction" or
+  /// "prefix-deadlock-check"; empty when the verdict is conclusive.
+  std::string interrupted_phase;
 };
 
-/// Deadlock detection through the complete prefix: the original net has a
-/// reachable deadlock iff some reachable cut of the prefix maps to a dead
-/// marking (completeness of the McMillan prefix). `prefix` must have been
-/// built without hitting its caps.
+/// Deadlock detection through the complete prefix. The search starts from
+/// the initial cut and fires only non-cut-off events; by completeness the
+/// cuts it reaches map onto every reachable marking of the original net, so
+/// the net has a reachable deadlock iff one of them maps to a dead marking.
+/// The search visits each such cut once, depth first, and stops at the first
+/// dead one (the witness). `prefix` must have been built without hitting its
+/// caps. Reaching `max_cuts` cuts with more to visit, running past
+/// `max_seconds` or a fired `cancel` stops it with limit_hit.
 [[nodiscard]] PrefixDeadlockResult deadlock_via_prefix(
     const petri::PetriNet& net, const Prefix& prefix,
     std::size_t max_cuts = 10'000'000,
-    const util::CancelToken* cancel = nullptr);
+    const util::CancelToken* cancel = nullptr,
+    double max_seconds = std::numeric_limits<double>::infinity());
+
+/// The unfolding engine: builds the prefix, then runs deadlock_via_prefix on
+/// it, both phases within `options.max_seconds` and `options.cancel`.
+/// Publishes into `options.metrics` and `options.tracer` as documented on
+/// UnfoldOptions.
+[[nodiscard]] PrefixDeadlockResult deadlock_via_unfolding(
+    const petri::PetriNet& net, const UnfoldOptions& options,
+    std::size_t max_cuts = 10'000'000);
 
 }  // namespace gpo::unfold

@@ -9,6 +9,8 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/gpo.hpp"
 #include "models/models.hpp"
@@ -17,6 +19,7 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "reach/explorer.hpp"
+#include "unfold/unfolding.hpp"
 
 namespace gpo::obs {
 namespace {
@@ -255,6 +258,25 @@ TEST(TelemetryParity, ExplorerAndGpoResultsUnchangedByRegistry) {
   EXPECT_EQ(gplain.single_steps, gtraced.single_steps);
   EXPECT_EQ(reg.counter("gpo.states").value(), gplain.state_count);
   EXPECT_FALSE(tracer.records().empty());
+
+  // The unfolder publishes its two phases as timers and spans, and its
+  // cuts as a counter, without changing the search.
+  Tracer unfold_tracer;
+  unfold::UnfoldOptions ubase;
+  auto uplain = unfold::deadlock_via_unfolding(net, ubase);
+  unfold::UnfoldOptions uinst = ubase;
+  uinst.metrics = &reg;
+  uinst.tracer = &unfold_tracer;
+  auto utraced = unfold::deadlock_via_unfolding(net, uinst);
+  EXPECT_EQ(uplain.cuts_explored, utraced.cuts_explored);
+  EXPECT_EQ(uplain.deadlock_found, utraced.deadlock_found);
+  EXPECT_EQ(reg.counter("unfold.cuts").value(), uplain.cuts_explored);
+  EXPECT_EQ(reg.timer("unfold.prefix_seconds").count(), 1u);
+  EXPECT_EQ(reg.timer("unfold.check_seconds").count(), 1u);
+  std::vector<std::string> spans;
+  for (const auto& rec : unfold_tracer.records()) spans.push_back(rec.name);
+  EXPECT_EQ(spans, (std::vector<std::string>{"prefix-construction",
+                                             "prefix-deadlock-check"}));
 }
 
 }  // namespace

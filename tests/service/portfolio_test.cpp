@@ -9,6 +9,7 @@
 #include "models/models.hpp"
 #include "obs/metrics.hpp"
 #include "util/cancel_token.hpp"
+#include "util/stopwatch.hpp"
 
 namespace gpo::service {
 namespace {
@@ -90,6 +91,31 @@ TEST(Portfolio, RunnersPublishIntoTheJobRegistryUnderEnginePrefix) {
   const EngineRegistry& reg = default_engine_registry();
   (void)(*reg.find("por"))(net, RunLimits{}, nullptr, &metrics);
   EXPECT_FALSE(metrics.snapshot("engine.por.").empty());
+  // The unfolder names its two phases, so a job report shows which was slow.
+  EngineOutcome unf = (*reg.find("unfold"))(net, RunLimits{}, nullptr,
+                                            &metrics);
+  EXPECT_EQ(metrics.value("engine.unfold.cuts"), unf.states);
+  EXPECT_TRUE(metrics.value("engine.unfold.prefix_seconds").has_value());
+  EXPECT_TRUE(metrics.value("engine.unfold.check_seconds").has_value());
+}
+
+TEST(Portfolio, UnfoldHonoursMaxSecondsAcrossBothPhases) {
+  // Milner's scheduler for 20 tasks: a small prefix, millions of
+  // deadlock-free cuts.
+  auto net = models::make_cyclic_scheduler(20);
+  RunLimits limits;
+  limits.max_seconds = 0.001;
+  util::Stopwatch watch;
+  EngineOutcome out = (*default_engine_registry().find("unfold"))(
+      net, limits, nullptr, nullptr);
+  EXPECT_LT(watch.elapsed_seconds(), 1.0);
+  EXPECT_FALSE(out.conclusive);
+  EXPECT_TRUE(out.aborted);
+  EXPECT_FALSE(out.cancelled);
+  EXPECT_EQ(out.verdict, "aborted");
+  EXPECT_TRUE(out.aborted_phase == "prefix-deadlock-check" ||
+              out.aborted_phase == "prefix-construction")
+      << out.aborted_phase;
 }
 
 TEST(Portfolio, WinnerCounterexampleReachesTheOutcome) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -93,13 +94,19 @@ TEST(Server, MalformedLinesGetErrAndDoNotKillTheSession) {
       "CHECK nsdp:-3\n"
       "CHECK nsdp:99999999999\n"
       "CHECK fig7 max-states=12ab\n"
+      "CHECK " + std::string(1 << 20, 'x') + "\n"
       "CHECK fig7\n"
       "QUIT\n");
   std::size_t errs = 0;
-  for (const std::string& l : lines)
+  for (const std::string& l : lines) {
     if (l.rfind("ERR", 0) == 0) ++errs;
-  EXPECT_EQ(errs, 5u)
-      << "unknown verb + unknown engine + two bad sizes + a bad number";
+    EXPECT_LT(l.size(), 1024u) << "no reply echoes the 1 MiB line";
+  }
+  EXPECT_EQ(errs, 6u) << "unknown verb + unknown engine + two bad sizes + a "
+                         "bad number + an over-long line";
+  EXPECT_NE(std::find(lines.begin(), lines.end(),
+                      "ERR line 6: line too long (over 65536 bytes)"),
+            lines.end());
   ASSERT_EQ(verdicts(lines).size(), 1u);
   EXPECT_EQ(lines.back(), "BYE 1");
 }
