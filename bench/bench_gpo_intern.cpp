@@ -55,6 +55,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -63,6 +64,7 @@
 #include "models/models.hpp"
 #include "obs/report.hpp"
 #include "reduce/reduce.hpp"
+#include "util/parse_num.hpp"
 #include "util/stopwatch.hpp"
 
 namespace {
@@ -266,7 +268,11 @@ int main(int argc, char** argv) {
     if (!std::strcmp(argv[i], "--smoke")) smoke = true;
     if (!std::strcmp(argv[i], "--slow")) slow = true;
     if (!std::strcmp(argv[i], "--max-seconds") && i + 1 < argc)
-      budget = std::stod(argv[++i]);
+      budget = gpo::util::parse_flag(
+          "--max-seconds", argv[++i], [](const std::string& t) {
+            return gpo::util::parse_double(
+                t, std::numeric_limits<double>::denorm_min());
+          });
     if (!std::strcmp(argv[i], "--out") && i + 1 < argc) out_path = argv[++i];
     if (!std::strcmp(argv[i], "--report") && i + 1 < argc)
       report_path = argv[++i];

@@ -24,6 +24,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -36,6 +37,7 @@
 #include "por/stubborn.hpp"
 #include "reach/explorer.hpp"
 #include "reduce/reduce.hpp"
+#include "util/parse_num.hpp"
 
 namespace {
 
@@ -151,12 +153,19 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--quick")) quick = true;
     if (!std::strcmp(argv[i], "--max-seconds") && i + 1 < argc)
-      budget = std::stod(argv[++i]);
+      budget = gpo::util::parse_flag(
+          "--max-seconds", argv[++i], [](const std::string& t) {
+            return gpo::util::parse_double(
+                t, std::numeric_limits<double>::denorm_min());
+          });
     if (!std::strcmp(argv[i], "--csv") && i + 1 < argc) csv_path = argv[++i];
     if (!std::strcmp(argv[i], "--report") && i + 1 < argc)
       report_path = argv[++i];
     if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-      threads = std::stoul(argv[++i]);
+      threads = gpo::util::parse_flag(
+          "--threads", argv[++i], [](const std::string& t) {
+            return gpo::util::parse_int<std::size_t>(t, 0, 1024);
+          });
       if (threads == 0) threads = 1;
     }
     if (!std::strcmp(argv[i], "--reduce") && i + 1 < argc) {

@@ -12,9 +12,12 @@
 // Subcommands (portfolio verification service, src/service/):
 //   julie batch bench/portfolio.manifest --report out.json
 //   julie serve --pool-threads 4
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -85,10 +88,10 @@ int usage(const char* argv0) {
       << "  --max-states N     state cap for explicit engines (cut cap\n"
       << "                     for unfold's deadlock check)\n"
       << "  --max-seconds S    wall-clock cap per engine\n"
-      << "  --threads N        worker threads; honored by the exhaustive\n"
-      << "                     engine (full) and the interned GPO engine\n"
-      << "                     (gpo-intern); verdicts and state counts do\n"
-      << "                     not depend on N (default 1 = sequential)\n"
+      << "  --threads N        worker threads for the exhaustive engine\n"
+      << "                     (full, and --liveness); the other engines\n"
+      << "                     are sequential. Verdicts and state counts\n"
+      << "                     do not depend on N (default 1)\n"
       << "  --stats            print per-engine telemetry counters on stderr\n"
       << "                     (states/sec, peak frontier, steals, shard\n"
       << "                     occupancy, ZDD nodes, interner dedup,\n"
@@ -120,6 +123,17 @@ struct Row {
   double seconds = 0;
 };
 
+/// A state count as printed in a row: exact up to 2^53, which covers every
+/// explicit count; only BDD counts get past it, and print at full precision.
+std::string format_count(double n) {
+  std::ostringstream out;
+  if (n <= 9007199254740992.0 && n == std::floor(n))
+    out << static_cast<std::uint64_t>(n);
+  else
+    out << std::setprecision(std::numeric_limits<double>::max_digits10) << n;
+  return out.str();
+}
+
 void print_row(const Row& r) {
   std::cout << "  " << r.engine << ": ";
   if (r.aborted) {
@@ -127,7 +141,7 @@ void print_row(const Row& r) {
     if (!r.aborted_phase.empty()) std::cout << " in " << r.aborted_phase;
     std::cout << ")";
   } else {
-    if (r.states >= 0) std::cout << "states=" << r.states << " ";
+    if (r.states >= 0) std::cout << "states=" << format_count(r.states) << " ";
     if (r.peak_bdd > 0) std::cout << "peak-bdd=" << r.peak_bdd << " ";
     std::cout << (r.deadlock ? "DEADLOCK" : "no deadlock");
   }
@@ -267,13 +281,7 @@ int main(int argc, char** argv) {
     };
     // A numeric flag's value, parsed strictly; bad input is a usage error.
     auto number = [&](auto parse) {
-      const std::string text = next();
-      try {
-        return parse(text);
-      } catch (const std::exception& e) {
-        std::cerr << arg << ": " << e.what() << "\n";
-        exit(2);
-      }
+      return gpo::util::parse_flag(arg, next(), parse);
     };
     if (arg == "--model") {
       model_spec = next();
@@ -676,7 +684,6 @@ int main(int argc, char** argv) {
         opt.metrics = reg;
         opt.metrics_prefix = prefix;
         opt.tracer = tr;
-        opt.num_threads = num_threads;  // parallel path: gpo-intern only
         auto kind = e == "gpo"       ? gpo::core::FamilyKind::kZdd
                     : e == "gpo-bdd" ? gpo::core::FamilyKind::kBdd
                                      : gpo::core::FamilyKind::kInterned;

@@ -27,10 +27,10 @@
 //     store). A claimant is the unique creator of its canonical family, so
 //     ids stay dense and exactly one arena slot is ever allocated per value.
 //   * Probes are acquire loads; an equal-tag claim that is not yet published
-//     is spun on (the only wait on the insert path, timed into the optional
-//     intern-wait histogram). The arena write happens before the publishing
-//     release store, so a reader that acquires the published word may read
-//     the family without further synchronization.
+//     is spun on (the only wait on the insert path). The arena write
+//     happens before the publishing release store, so a reader that
+//     acquires the published word may read the family without further
+//     synchronization.
 //   * Growth is cooperative: the thread that trips the load factor installs
 //     a double-size successor table with one CAS, then every inserting
 //     thread helps migrate — empty slots are frozen (CAS 0 -> FROZEN so no
@@ -61,7 +61,6 @@
 
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -71,7 +70,6 @@
 
 #include "core/gpo_result.hpp"
 #include "core/set_family.hpp"
-#include "obs/histogram.hpp"
 #include "util/hash.hpp"
 
 namespace gpo::core {
@@ -306,13 +304,6 @@ class FamilyInterner {
     return caches_.size();
   }
 
-  /// Optional wait histogram: every genuine wait inside intern() — spinning
-  /// on a racing claim's publish, or helping/awaiting a table migration —
-  /// records its duration in nanoseconds. The uncontended fast path never
-  /// reads a clock. Pass nullptr to detach.
-  void set_wait_histogram(obs::Histogram* h) {
-    wait_hist_.store(h, std::memory_order_relaxed);
-  }
 
   /// Current unique-table slot count (exact once growers quiesce).
   [[nodiscard]] std::size_t unique_table_capacity() const {
@@ -382,29 +373,6 @@ class FamilyInterner {
   struct ThreadCache {
     std::thread::id tid;
     std::unique_ptr<OpCache> cache;
-  };
-
-  /// Times one wait episode into the optional histogram; reads the clock
-  /// only when a wait actually happens.
-  class WaitTimer {
-   public:
-    explicit WaitTimer(const std::atomic<obs::Histogram*>& slot)
-        : h_(slot.load(std::memory_order_relaxed)),
-          start_(h_ != nullptr ? std::chrono::steady_clock::now()
-                               : std::chrono::steady_clock::time_point{}) {}
-    WaitTimer(const WaitTimer&) = delete;
-    WaitTimer& operator=(const WaitTimer&) = delete;
-    ~WaitTimer() {
-      if (h_ == nullptr) return;
-      auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - start_)
-                    .count();
-      h_->record(static_cast<std::uint64_t>(ns));
-    }
-
-   private:
-    obs::Histogram* h_;
-    std::chrono::steady_clock::time_point start_;
   };
 
   // -- arena: radix of never-moving, geometrically growing segments ---------
@@ -503,8 +471,6 @@ class FamilyInterner {
   /// allocate(); claimed slots are never frozen, so this terminates with a
   /// published word).
   std::uint64_t wait_published(Table& t, std::size_t i, std::uint64_t e) {
-    if ((e & 0xFFFFFFFFull) != 0) return e;
-    WaitTimer wait(wait_hist_);
     while ((e & 0xFFFFFFFFull) == 0) {
       std::this_thread::yield();
       e = t.slots[i].load(std::memory_order_acquire);
@@ -565,11 +531,8 @@ class FamilyInterner {
       }
       t.migrated.fetch_add(end - start, std::memory_order_acq_rel);
     }
-    if (t.migrated.load(std::memory_order_acquire) < cap) {
-      WaitTimer wait(wait_hist_);
-      while (t.migrated.load(std::memory_order_acquire) < cap)
-        std::this_thread::yield();
-    }
+    while (t.migrated.load(std::memory_order_acquire) < cap)
+      std::this_thread::yield();
     Table* cur = &t;
     table_.compare_exchange_strong(cur, next, std::memory_order_acq_rel,
                                    std::memory_order_acquire);
@@ -709,8 +672,6 @@ class FamilyInterner {
   std::atomic<ArenaSlot*> dir_[kMaxSegments] = {};
   std::atomic<std::uint64_t> next_id_alloc_{0};  // ids handed out
   std::atomic<std::uint64_t> next_id_{0};        // ids fully published
-
-  std::atomic<obs::Histogram*> wait_hist_{nullptr};
 
   mutable std::mutex caches_mu_;
   std::vector<ThreadCache> caches_;

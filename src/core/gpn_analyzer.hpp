@@ -24,35 +24,19 @@
 //
 // The template parameter selects the family representation: ZddFamily (the
 // `gpo` engine), ExplicitFamily (the paper-literal reference oracle),
-// BddFamily or InternedFamily; see DESIGN.md decision 2. All semantic
-// methods (s_enabled/m_update/plan_expansion/...) are const and — given a
-// thread-safe family context, like the concurrent FamilyInterner — callable
-// from multiple threads at once; the parallel engine
-// (parallel_gpn_analyzer.hpp) relies on this, plus the shared helpers
-// replay_scenario / run_delegated / apply_ignoring_guard below.
+// BddFamily or InternedFamily; see DESIGN.md decision 2. The analyzer is
+// single-threaded: one instance runs one search.
 //
-// Two evaluation-strategy levers live inside the semantic methods (see
-// DESIGN.md "Intra-state parallelism"):
-//   * The big unions over all transitions (r' in m_update, the enabled-union
-//     of the deadlock check) are evaluated as balanced n-ary reduction trees
-//     instead of left folds. Union is associative and commutative over
-//     canonical families, so the result is value-identical; the balanced
-//     shape keeps both operands of every node small and — under the interner
-//     — turns the per-state accumulator chains (unique to each state, so
-//     never a cache hit) into pairwise subtree unions that recur across
-//     states. This is a measured single-thread win on the scenario-heavy
-//     models before any threading.
-//   * When GpoOptions::task_pool is set, per-transition term computation,
-//     candidate-MCS trial checks and the large reduction-tree levels are
-//     forked onto the pool as index-addressed range tasks. Chunk boundaries
-//     and the tree shape are pure functions of the term count, every task
-//     writes only its own slots, and the merge happens in index order — so
-//     verdicts, state counts and counterexamples are bitwise independent of
-//     scheduling.
+// The big unions over all transitions (r' in m_update, the enabled-union of
+// the deadlock check) are evaluated as balanced pairing trees instead of left
+// folds (DESIGN.md decision 9). Union is associative and commutative over
+// canonical families, so the result is value-identical; the balanced shape
+// keeps both operands of every node small and — under the interner — turns
+// the per-state accumulator chains (unique to each state, so never a cache
+// hit) into pairwise subtree unions that recur across states.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
@@ -66,7 +50,6 @@
 #include "reach/explorer.hpp"
 #include "util/hash.hpp"
 #include "util/stopwatch.hpp"
-#include "util/task_pool.hpp"
 
 namespace gpo::core {
 
@@ -88,18 +71,17 @@ struct GpnState {
   GpnState(GpnState&& o) noexcept
       : marking(std::move(o.marking)),
         r(std::move(o.r)),
-        memo_hash_(o.memo_hash_.load(std::memory_order_relaxed)) {}
+        memo_hash_(o.memo_hash_) {}
   GpnState& operator=(const GpnState& o) {
     marking = o.marking;
     r = o.r;
-    memo_hash_.store(0, std::memory_order_relaxed);
+    memo_hash_ = 0;
     return *this;
   }
   GpnState& operator=(GpnState&& o) noexcept {
     marking = std::move(o.marking);
     r = std::move(o.r);
-    memo_hash_.store(o.memo_hash_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
+    memo_hash_ = o.memo_hash_;
     return *this;
   }
 
@@ -108,11 +90,10 @@ struct GpnState {
   }
 
   [[nodiscard]] std::size_t hash() const {
-    std::size_t h = memo_hash_.load(std::memory_order_relaxed);
-    if (h != 0) return h;
-    h = uncached_hash();
+    if (memo_hash_ != 0) return memo_hash_;
+    std::size_t h = uncached_hash();
     if (h == 0) h = 1;  // 0 is the "unset" sentinel
-    memo_hash_.store(h, std::memory_order_relaxed);
+    memo_hash_ = h;
     return h;
   }
 
@@ -125,9 +106,7 @@ struct GpnState {
   }
 
  private:
-  // atomic so concurrent hash() calls on a shared finished state are clean:
-  // racing writers store the identical value.
-  mutable std::atomic<std::size_t> memo_hash_{0};
+  mutable std::size_t memo_hash_ = 0;
 };
 
 template <typename Family>
@@ -140,8 +119,7 @@ class GpnAnalyzer {
       : net_(net),
         ctx_(ctx),
         conflicts_(net),
-        options_(options),
-        pool_(options.task_pool) {}
+        options_(options) {}
 
   // -- GPN semantics (exposed for unit tests and the examples) -------------
 
@@ -208,28 +186,25 @@ class GpnAnalyzer {
     // m_enabled per fired transition, indexed by transition id through a flat
     // side table — this sits in the hottest loop and a per-call hash map
     // would allocate buckets for every successor.
-    std::vector<Family> me(fired.size(), ctx_.empty());
+    std::vector<Family> me;
+    me.reserve(fired.size());
     std::vector<std::uint32_t> me_index(nt, UINT32_MAX);
-    for (std::size_t i = 0; i < fired.size(); ++i)
+    for (std::size_t i = 0; i < fired.size(); ++i) {
       me_index[fired[i]] = static_cast<std::uint32_t>(i);
-    for_range(fired.size(), kCheapGrain,
-              [&](std::size_t i) { me[i] = m_enabled(fired[i], s); });
+      me.push_back(m_enabled(fired[i], s));
+    }
 
     // r' = U_{t not in T'} s_enabled(t,s)  ∪  U_{t in T'} m_enabled(t,s),
     // evaluated as a balanced reduction tree over the per-transition terms.
-    std::vector<Family> terms(nt, ctx_.empty());
-    for_range(nt, kCheapGrain, [&](std::size_t t) {
-      terms[t] = in_fired.test(t)
-                     ? me[me_index[t]]
-                     : s_enabled(static_cast<petri::TransitionId>(t), s);
-    });
+    std::vector<Family> terms;
+    terms.reserve(nt);
+    for (petri::TransitionId t = 0; t < nt; ++t)
+      terms.push_back(in_fired.test(t) ? me[me_index[t]] : s_enabled(t, s));
     Family r_next = balanced_unite(terms);
 
-    // The per-place updates are independent of each other: index-addressed
-    // slots, forked as one range task per chunk of places.
-    std::vector<Family> marking(net_.place_count(), ctx_.empty());
-    for_range(net_.place_count(), kCheapGrain, [&](std::size_t pi) {
-      const petri::PlaceId p = static_cast<petri::PlaceId>(pi);
+    std::vector<Family> marking;
+    marking.reserve(net_.place_count());
+    for (petri::PlaceId p = 0; p < net_.place_count(); ++p) {
       Family removed = ctx_.empty();
       Family added = ctx_.empty();
       bool consumed = false, produced = false;
@@ -246,14 +221,14 @@ class GpnAnalyzer {
         }
       }
       if (!consumed && !produced) {
-        marking[p] = s.marking[p].intersect(r_next);
+        marking.push_back(s.marking[p].intersect(r_next));
       } else {
         Family m = consumed ? s.marking[p].subtract(removed)
                             : s.marking[p].unite(added);
         if (consumed && produced) m = m.unite(added);
-        marking[p] = m.intersect(r_next);
+        marking.push_back(m.intersect(r_next));
       }
-    });
+    }
     return State(std::move(marking), std::move(r_next));
   }
 
@@ -281,10 +256,10 @@ class GpnAnalyzer {
   [[nodiscard]] std::optional<TransitionSet> deadlock_scenario(
       const State& s,
       std::optional<petri::PlaceId> required_place = std::nullopt) const {
-    std::vector<Family> terms(net_.transition_count(), ctx_.empty());
-    for_range(terms.size(), kCheapGrain, [&](std::size_t t) {
-      terms[t] = s_enabled(static_cast<petri::TransitionId>(t), s);
-    });
+    std::vector<Family> terms;
+    terms.reserve(net_.transition_count());
+    for (petri::TransitionId t = 0; t < net_.transition_count(); ++t)
+      terms.push_back(s_enabled(t, s));
     Family enabled_union = balanced_unite(terms);
     Family missing = s.r.subtract(enabled_union);
     if (required_place) missing = missing.intersect(s.marking[*required_place]);
@@ -332,28 +307,21 @@ class GpnAnalyzer {
 
   /// Scratch-vector variant (out is cleared first): the main loops keep one
   /// vector alive across states so the per-state allocation disappears.
-  /// With a pool, the per-transition enabledness checks fork as range tasks
-  /// over an index-addressed flag array; the compaction into `out` happens
-  /// in transition order either way.
   void single_enabled_transitions(const State& s,
                                   std::vector<petri::TransitionId>& out) const {
     out.clear();
-    const std::size_t nt = net_.transition_count();
-    if (pool_ == nullptr) {
-      for (petri::TransitionId t = 0; t < nt; ++t)
-        if (!s_enabled(t, s).is_empty()) out.push_back(t);
-      return;
-    }
-    std::vector<std::uint8_t> enabled(nt, 0);
-    for_range(nt, kCheapGrain, [&](std::size_t t) {
-      enabled[t] =
-          s_enabled(static_cast<petri::TransitionId>(t), s).is_empty() ? 0 : 1;
-    });
-    for (petri::TransitionId t = 0; t < nt; ++t)
-      if (enabled[t] != 0) out.push_back(t);
+    for (petri::TransitionId t = 0; t < net_.transition_count(); ++t)
+      if (!s_enabled(t, s).is_empty()) out.push_back(t);
   }
 
-  // -- Shared machinery (used by explore() and the parallel engine) --------
+  [[nodiscard]] GpoResult explore() const;
+
+ private:
+  struct StateHash {
+    std::size_t operator()(const State& s) const { return s.hash(); }
+  };
+
+  // -- Search machinery (explore()'s helpers) --------------------------------
 
   /// One discovery edge of the reduced graph, root side first.
   struct ReplayStep {
@@ -443,9 +411,8 @@ class GpnAnalyzer {
   /// starving states' mapped markings. That search is bounded by the plain
   /// reachability graph and completes the deadlock verdict soundly.
   ///
-  /// Inputs are dense arrays over the reduced graph's state indices; both
-  /// engines build them after their search quiesces (the parallel engine via
-  /// ShardedStateSet::for_each), so this runs single-threaded either way.
+  /// Inputs are dense arrays over the reduced graph's state indices, built
+  /// by explore() once its search has finished.
   void apply_ignoring_guard(const std::vector<const State*>& states,
                             const std::vector<ReducedEdge>& edges,
                             const std::vector<util::Bitset>& enabled_at,
@@ -532,69 +499,27 @@ class GpnAnalyzer {
                     /*merge_fireable=*/false, result);
   }
 
-  [[nodiscard]] GpoResult explore() const;
-
- private:
-  struct StateHash {
-    std::size_t operator()(const State& s) const { return s.hash(); }
-  };
-
-  // Fork grains. Family ops run microseconds to milliseconds each, so even
-  // small ranges are worth splitting; a slightly coarser grain for the
-  // per-transition term loops keeps the fork count proportionate, while the
-  // candidate trial checks (a full m_update each) split down to singletons.
-  static constexpr std::size_t kCheapGrain = 4;
-  static constexpr std::size_t kCheckGrain = 1;
-
-  /// Runs f(i) for i in [0, n): serially without a pool, as deterministic
-  /// range tasks on the pool otherwise. f must write only index-addressed
-  /// state (slot i), never shared accumulators.
-  template <typename F>
-  void for_range(std::size_t n, std::size_t grain, const F& f) const {
-    if (pool_ == nullptr) {
-      for (std::size_t i = 0; i < n; ++i) f(i);
-      return;
-    }
-    pool_->parallel_for(n, grain, [&f](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) f(i);
-    });
-  }
-
   /// Union of all terms as a balanced pairing tree (terms is consumed).
-  /// Round k unites src[2i] with src[2i+1] into dst[i] — the shape depends
-  /// only on the term count, never on scheduling, so the canonical result
-  /// (and with it every downstream id) is identical with and without a
-  /// pool. Each round ping-pongs between two buffers: in-place pairing
-  /// (slot i <- slots 2i,2i+1) is only safe in strict left-to-right order,
-  /// because iteration i overwrites the slot iteration i/2 still has to
-  /// read — a forked chunk starting at i would race an earlier chunk.
-  /// Reading from src and writing to dst keeps every round's tasks
-  /// write-disjoint from their reads.
+  /// Round k unites slots 2i and 2i+1 into slot i, left to right, so a slot
+  /// is overwritten only after it has been read; the shape depends only on
+  /// the term count.
   Family balanced_unite(std::vector<Family>& terms) const {
     if (terms.empty()) return ctx_.empty();
-    std::vector<Family> scratch;
-    std::vector<Family>* src = &terms;
-    std::vector<Family>* dst = &scratch;
     std::size_t n = terms.size();
     while (n > 1) {
       const std::size_t half = n / 2;
-      const std::size_t next_n = half + (n % 2);
-      dst->assign(next_n, ctx_.empty());
-      for_range(half, kCheapGrain, [src, dst](std::size_t i) {
-        (*dst)[i] = (*src)[2 * i].unite((*src)[2 * i + 1]);
-      });
-      if (n % 2 == 1) (*dst)[half] = std::move((*src)[n - 1]);
-      std::swap(src, dst);
-      n = next_n;
+      for (std::size_t i = 0; i < half; ++i)
+        terms[i] = terms[2 * i].unite(terms[2 * i + 1]);
+      if (n % 2 == 1) terms[half] = std::move(terms[n - 1]);
+      n = half + (n % 2);
     }
-    return std::move((*src)[0]);
+    return std::move(terms[0]);
   }
 
   const petri::PetriNet& net_;
   Context& ctx_;
   petri::ConflictInfo conflicts_;
   GpoOptions options_;
-  util::TaskPool* pool_ = nullptr;
 };
 
 // ---------------------------------------------------------------------------
@@ -614,15 +539,10 @@ auto GpnAnalyzer<Family>::plan_expansion(
   // graph restricted to the *multiple-enabled* transitions. A transition
   // that is single- but not multiple-enabled (every common history committed
   // its tokens to a competitor) is postponed — its scenarios keep their
-  // tokens in place, so nothing is lost by leaving it out. The per-transition
-  // probes are independent: forked over an index-addressed flag array.
-  std::vector<std::uint8_t> multi(single_enabled.size(), 0);
-  for_range(single_enabled.size(), kCheapGrain, [&](std::size_t i) {
-    multi[i] = m_enabled(single_enabled[i], s).is_empty() ? 0 : 1;
-  });
+  // tokens in place, so nothing is lost by leaving it out.
   util::Bitset m_bits(nt);
-  for (std::size_t i = 0; i < single_enabled.size(); ++i)
-    if (multi[i] != 0) m_bits.set(single_enabled[i]);
+  for (petri::TransitionId t : single_enabled)
+    if (!m_enabled(t, s).is_empty()) m_bits.set(t);
   std::vector<std::vector<petri::TransitionId>> dyn_components;
   {
     util::Bitset seen(nt);
@@ -652,11 +572,9 @@ auto GpnAnalyzer<Family>::plan_expansion(
   // *other* multiple-enabled component must stay multiple-enabled and every
   // single-enabled transition outside it must stay single-enabled. Each
   // check is a full m_update plus re-probes — the expensive heart of MCS
-  // enumeration — and the checks are mutually independent, so they fork
-  // one per task; the verdicts land in index-addressed flags and are
-  // collected in component order.
-  std::vector<std::uint8_t> cand_ok(dyn_components.size(), 0);
-  for_range(dyn_components.size(), kCheckGrain, [&](std::size_t c) {
+  // enumeration.
+  std::vector<std::size_t> candidates;
+  for (std::size_t c = 0; c < dyn_components.size(); ++c) {
     State trial = m_update(s, dyn_components[c]);
     util::Bitset in_c(nt);
     for (petri::TransitionId t : dyn_components[c]) in_c.set(t);
@@ -676,11 +594,8 @@ auto GpnAnalyzer<Family>::plan_expansion(
           break;
         }
     }
-    cand_ok[c] = ok ? 1 : 0;
-  });
-  std::vector<std::size_t> candidates;
-  for (std::size_t c = 0; c < dyn_components.size(); ++c)
-    if (cand_ok[c] != 0) candidates.push_back(c);
+    if (ok) candidates.push_back(c);
+  }
 
   Expansion plan;
   if (!candidates.empty()) {

@@ -1,9 +1,5 @@
 #include "core/gpo.hpp"
 
-#include <type_traits>
-
-#include "core/parallel_gpn_analyzer.hpp"
-
 namespace gpo::core {
 
 void publish_gpo_stats(obs::MetricsRegistry& reg, std::string_view prefix,
@@ -19,15 +15,6 @@ void publish_gpo_stats(obs::MetricsRegistry& reg, std::string_view prefix,
       .set(result.bailed_to_classical ? 1.0 : 0.0);
   reg.timer(p + "seconds")
       .record_ns(static_cast<std::uint64_t>(result.seconds * 1e9));
-  const GpoParallelStats& ps = result.parallel;
-  if (ps.threads > 0) {
-    reg.counter(p + "parallel.threads").store(ps.threads);
-    reg.counter(p + "parallel.steals").store(ps.steal_count);
-    reg.counter(p + "parallel.fork_tasks").store(ps.fork_tasks);
-    reg.counter(p + "parallel.peak_frontier").store(ps.peak_frontier);
-    reg.counter(p + "parallel.shards").store(ps.shard_count);
-    reg.gauge(p + "parallel.states_per_second").set(ps.states_per_second);
-  }
   const GpoFamilyStats& fs = result.family_stats;
   if (!fs.available) return;
   reg.gauge("mem." + p + "families_bytes")
@@ -116,15 +103,6 @@ GpoResult run_with(const petri::PetriNet& net, const GpoOptions& options) {
     return result;
   }
   typename Family::Context ctx(net.transition_count());
-  if constexpr (std::is_same_v<Family, InternedFamily>) {
-    if (options.metrics != nullptr)
-      ctx.interner().set_wait_histogram(&options.metrics->histogram(
-          options.metrics_prefix + "intern_wait_ns"));
-    // The fork-join engine covers every option except build_graph (node
-    // labels require stable discovery order), which stays sequential.
-    if (options.num_threads > 1 && !options.build_graph)
-      return ParallelGpnAnalyzer(net, ctx, options).explore();
-  }
   return GpnAnalyzer<Family>(net, ctx, options).explore();
 }
 

@@ -32,9 +32,8 @@ using InternedGpnState = GpnState<InternedFamily>;
                                 const GpoOptions& options = {});
 
 /// The same search over a chosen family representation. kZdd is run_gpo()
-/// above; kInterned honors GpoOptions::num_threads (the fork-join engine)
-/// and reports its interner counters. With kExplicit or kInterned, nets
-/// whose explicit r0 would exceed the enumeration cap throw
+/// above; kInterned reports its interner counters. With kExplicit or
+/// kInterned, nets whose explicit r0 would exceed the enumeration cap throw
 /// std::length_error.
 [[nodiscard]] GpoResult run_gpo(const petri::PetriNet& net, FamilyKind kind,
                                 const GpoOptions& options = {});

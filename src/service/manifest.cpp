@@ -100,12 +100,34 @@ JobSpec parse_job_line(const std::string& line, std::size_t line_no) {
   return spec;
 }
 
+bool read_line(std::istream& in, std::string& line, bool& too_long) {
+  line.clear();
+  too_long = false;
+  std::streambuf* buf = in.rdbuf();
+  bool any = false;
+  for (int ch = buf->sbumpc(); ch != std::char_traits<char>::eof();
+       ch = buf->sbumpc()) {
+    if (ch == '\n') return true;
+    any = true;
+    if (line.size() < kMaxLineBytes)
+      line.push_back(static_cast<char>(ch));
+    else
+      too_long = true;
+  }
+  in.setstate(std::ios::eofbit);
+  return any;
+}
+
 Manifest parse_manifest(std::istream& in) {
   Manifest m;
   std::string line;
   std::size_t line_no = 0;
-  while (std::getline(in, line)) {
+  bool too_long = false;
+  while (read_line(in, line, too_long)) {
     ++line_no;
+    if (too_long)
+      fail(line_no, "line too long (over " + std::to_string(kMaxLineBytes) +
+                        " bytes)");
     std::size_t hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
     std::size_t first = line.find_first_not_of(" \t\r");

@@ -31,7 +31,7 @@
 // parsed strictly: "12ab", "-3" and out-of-range sizes are rejected) are
 // hard errors
 // with the offending line number — a manifest typo must not silently shrink
-// a CI verification matrix.
+// a CI verification matrix. So is a line longer than kMaxLineBytes.
 #pragma once
 
 #include <cstddef>
@@ -80,6 +80,16 @@ class ManifestError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Longest line a manifest or a `serve` request may have. A job line is a
+/// model spec or a file path plus a few key=value words; the cap only stops
+/// a newline-free stream from growing the reader without bound.
+inline constexpr std::size_t kMaxLineBytes = 64 * 1024;
+
+/// std::getline with a length cap: reads the next line into `line` and
+/// returns false at end of input. Past kMaxLineBytes the rest of the line is
+/// discarded up to its newline and `too_long` is set.
+bool read_line(std::istream& in, std::string& line, bool& too_long);
+
 /// Parses one job line (comment already stripped; must be non-empty).
 /// Shared by the manifest reader and the server's CHECK command. Throws
 /// ManifestError on malformed input.
@@ -87,7 +97,7 @@ class ManifestError : public std::runtime_error {
                                      std::size_t line_no = 0);
 
 /// Parses a whole manifest; throws ManifestError with a line number on the
-/// first malformed job.
+/// first malformed job or over-long line.
 [[nodiscard]] Manifest parse_manifest(std::istream& in);
 [[nodiscard]] Manifest parse_manifest_file(const std::string& path);
 

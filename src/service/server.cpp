@@ -11,38 +11,13 @@
 
 #include "obs/heartbeat.hpp"
 #include "obs/json.hpp"
+#include "service/manifest.hpp"
 
 namespace gpo::service {
 
 namespace {
 
 namespace json = obs::json;
-
-/// Longest request line the server keeps. A job line is a model spec or a
-/// file path plus a few key=value words; the cap only stops a newline-free
-/// stream from growing the server without bound.
-constexpr std::size_t kMaxLineBytes = 64 * 1024;
-
-/// std::getline with a length cap: reads the next line into `line` and
-/// returns false at end of input. Past kMaxLineBytes the rest of the line is
-/// discarded up to its newline and `too_long` is set.
-bool read_line(std::istream& in, std::string& line, bool& too_long) {
-  line.clear();
-  too_long = false;
-  std::streambuf* buf = in.rdbuf();
-  bool any = false;
-  for (int ch = buf->sbumpc(); ch != std::char_traits<char>::eof();
-       ch = buf->sbumpc()) {
-    if (ch == '\n') return true;
-    any = true;
-    if (line.size() < kMaxLineBytes)
-      line.push_back(static_cast<char>(ch));
-    else
-      too_long = true;
-  }
-  in.setstate(std::ios::eofbit);
-  return any;
-}
 
 std::string format_verdict(const JobResult& r) {
   std::ostringstream line;

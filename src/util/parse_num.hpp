@@ -16,6 +16,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <iostream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -89,6 +90,19 @@ template <typename T>
     detail::throw_not_a_number(text, "a number");
   if (value < lo || value > hi) detail::throw_out_of_range(text, lo, hi);
   return value;
+}
+
+/// A command-line flag's value: `parse(text)`, with `parse` one of the
+/// functions above. Malformed or out-of-range text is a usage error:
+/// "<flag>: <reason>" on stderr and exit status 2.
+template <typename Parse>
+auto parse_flag(std::string_view flag, const std::string& text, Parse parse) {
+  try {
+    return parse(text);
+  } catch (const std::exception& e) {
+    std::cerr << flag << ": " << e.what() << "\n";
+    std::exit(2);
+  }
 }
 
 }  // namespace gpo::util

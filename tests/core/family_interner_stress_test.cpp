@@ -132,5 +132,57 @@ TEST(FamilyInternerStress, OpCacheStatsAggregateAtJoin) {
   EXPECT_EQ(s.op_cache_evictions, 0u);
 }
 
+// Mixed algebra (from_sets/unite/intersect) on 8 threads over one shared
+// interner: the same op stream yields the same ids on every thread, and
+// every arena entry stays canonical.
+TEST(ParallelGpo, ConcurrentInternersAgreeOnIds) {
+  constexpr std::size_t kTransitions = 12;
+  constexpr std::size_t kThreads = 8;
+  FamilyInterner interner(kTransitions, /*op_cache_entries=*/1 << 10);
+  ExplicitFamily::Context base(kTransitions);
+
+  // Every thread interns the same deterministic stream of families (plus a
+  // private one) and records the ids it got back.
+  std::vector<std::vector<FamilyId>> shared_ids(kThreads);
+  std::vector<std::thread> pool;
+  for (std::size_t w = 0; w < kThreads; ++w) {
+    pool.emplace_back([&, w] {
+      for (std::uint64_t i = 0; i < 200; ++i) {
+        TransitionSet a(kTransitions), b(kTransitions);
+        a.set(i % kTransitions);
+        a.set((i * 7 + 1) % kTransitions);
+        b.set((i * 5 + 2) % kTransitions);
+        FamilyId fa = interner.from_sets({a});
+        FamilyId fb = interner.from_sets({b});
+        FamilyId u = interner.unite(fa, fb);
+        FamilyId n = interner.intersect(u, fa);
+        shared_ids[w].push_back(u);
+        shared_ids[w].push_back(n);
+        // Algebra sanity under the race: fa ⊆ u, so u ∩ fa == fa.
+        ASSERT_EQ(n, fa);
+      }
+    });
+  }
+  for (std::thread& t : pool) t.join();
+
+  // Same input stream => same ids on every thread (canonicalization held).
+  for (std::size_t w = 1; w < kThreads; ++w)
+    EXPECT_EQ(shared_ids[w], shared_ids[0]);
+
+  // Ids are dense and every arena entry canonical: re-interning each stored
+  // family returns its own id.
+  const std::size_t n = interner.size();
+  ASSERT_GT(n, 1u);
+  for (FamilyId id = 0; id < n; ++id) {
+    ExplicitFamily f = interner.family(id);
+    EXPECT_EQ(interner.intern(std::move(f)), id);
+  }
+
+  FamilyInternerStats s = interner.stats();
+  EXPECT_EQ(s.distinct_families, n);
+  EXPECT_GE(s.intern_calls, s.distinct_families);
+  EXPECT_GT(interner.op_cache_thread_count(), 0u);
+}
+
 }  // namespace
 }  // namespace gpo::core

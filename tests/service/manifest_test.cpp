@@ -117,6 +117,28 @@ TEST(Manifest, ErrorsCarryTheLineNumber) {
   }
 }
 
+// Lines are read through a 64 KiB cap: a line of exactly kMaxLineBytes is
+// still a job, one byte more (or a 1 MiB line) is refused by number.
+TEST(Manifest, OverLongLineIsAnError) {
+  const std::string at_cap = std::string(kMaxLineBytes - 4, 'x') + ".net";
+  std::istringstream ok("fig7\n" + at_cap + "\n");
+  Manifest m = parse_manifest(ok);
+  ASSERT_EQ(m.jobs.size(), 2u);
+  EXPECT_EQ(m.jobs[1].model, at_cap);
+
+  for (std::size_t bytes : {kMaxLineBytes + 1, std::size_t{1} << 20}) {
+    std::istringstream in("fig7\n" + std::string(bytes, 'x') + "\nrw:4\n");
+    try {
+      (void)parse_manifest(in);
+      ADD_FAILURE() << "expected ManifestError for " << bytes << " bytes";
+    } catch (const ManifestError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2: line too long"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Manifest, MissingFileThrows) {
   EXPECT_THROW((void)parse_manifest_file("/nonexistent/jobs.manifest"),
                ManifestError);
