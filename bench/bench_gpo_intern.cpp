@@ -48,7 +48,7 @@
 //   unsoundness in the pipeline fails the benchmark.
 // Exit status: 0 on success, 1 on any verdict mismatch.
 #include <cstdint>
-#include <cstring>
+#include <cstdlib>
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
@@ -256,6 +256,13 @@ void write_json(std::ostream& out, const std::vector<Row>& rows, bool smoke) {
   out << "  ]\n}\n";
 }
 
+int usage(const char* argv0) {
+  std::cerr << "usage: " << argv0
+            << " [--smoke] [--slow] [--max-seconds S] [--out FILE]\n"
+            << "       [--report FILE]\n";
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -265,17 +272,32 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_gpo.json";
   std::string report_path;
   for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--smoke")) smoke = true;
-    if (!std::strcmp(argv[i], "--slow")) slow = true;
-    if (!std::strcmp(argv[i], "--max-seconds") && i + 1 < argc)
+    const std::string arg = argv[i];
+    auto next = [&]() -> std::string {
+      if (i + 1 >= argc) {
+        std::cerr << arg << " needs an argument\n";
+        std::exit(usage(argv[0]));
+      }
+      return argv[++i];
+    };
+    if (arg == "--smoke") {
+      smoke = true;
+    } else if (arg == "--slow") {
+      slow = true;
+    } else if (arg == "--max-seconds") {
       budget = gpo::util::parse_flag(
-          "--max-seconds", argv[++i], [](const std::string& t) {
+          "--max-seconds", next(), [](const std::string& t) {
             return gpo::util::parse_double(
                 t, std::numeric_limits<double>::denorm_min());
           });
-    if (!std::strcmp(argv[i], "--out") && i + 1 < argc) out_path = argv[++i];
-    if (!std::strcmp(argv[i], "--report") && i + 1 < argc)
-      report_path = argv[++i];
+    } else if (arg == "--out") {
+      out_path = next();
+    } else if (arg == "--report") {
+      report_path = next();
+    } else {
+      std::cerr << "unknown option " << arg << "\n";
+      return usage(argv[0]);
+    }
   }
   if (smoke && budget > 5.0) budget = 5.0;
 

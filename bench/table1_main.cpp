@@ -20,7 +20,7 @@
 // once per instance and feeds every engine the reduced net (verdicts are
 // preserved by construction; see src/reduce/). The CSV gains the
 // before/after place and transition counts plus the reduction time.
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -141,6 +141,13 @@ gpo::obs::RunReport::EngineRun engine_run(const std::string& engine,
   return er;
 }
 
+int usage(const char* argv0) {
+  std::cerr << "usage: " << argv0
+            << " [--quick] [--max-seconds S] [--csv FILE] [--threads N]\n"
+            << "       [--report FILE] [--reduce off|safe|aggressive]\n";
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -151,31 +158,44 @@ int main(int argc, char** argv) {
   std::string csv_path = "table1_results.csv";
   std::string report_path;
   for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--quick")) quick = true;
-    if (!std::strcmp(argv[i], "--max-seconds") && i + 1 < argc)
+    const std::string arg = argv[i];
+    auto next = [&]() -> std::string {
+      if (i + 1 >= argc) {
+        std::cerr << arg << " needs an argument\n";
+        std::exit(usage(argv[0]));
+      }
+      return argv[++i];
+    };
+    if (arg == "--quick") {
+      quick = true;
+    } else if (arg == "--max-seconds") {
       budget = gpo::util::parse_flag(
-          "--max-seconds", argv[++i], [](const std::string& t) {
+          "--max-seconds", next(), [](const std::string& t) {
             return gpo::util::parse_double(
                 t, std::numeric_limits<double>::denorm_min());
           });
-    if (!std::strcmp(argv[i], "--csv") && i + 1 < argc) csv_path = argv[++i];
-    if (!std::strcmp(argv[i], "--report") && i + 1 < argc)
-      report_path = argv[++i];
-    if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
+    } else if (arg == "--csv") {
+      csv_path = next();
+    } else if (arg == "--report") {
+      report_path = next();
+    } else if (arg == "--threads") {
       threads = gpo::util::parse_flag(
-          "--threads", argv[++i], [](const std::string& t) {
+          "--threads", next(), [](const std::string& t) {
             return gpo::util::parse_int<std::size_t>(t, 0, 1024);
           });
       if (threads == 0) threads = 1;
-    }
-    if (!std::strcmp(argv[i], "--reduce") && i + 1 < argc) {
-      auto level = gpo::reduce::parse_reduce_level(argv[++i]);
+    } else if (arg == "--reduce") {
+      const std::string value = next();
+      auto level = gpo::reduce::parse_reduce_level(value);
       if (!level.has_value()) {
         std::cerr << "--reduce must be off, safe or aggressive, got '"
-                  << argv[i] << "'\n";
+                  << value << "'\n";
         return 2;
       }
       reduce_level = *level;
+    } else {
+      std::cerr << "unknown option " << arg << "\n";
+      return usage(argv[0]);
     }
   }
 

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
+#include <utility>
 
 namespace gpo::bdd {
 
-BddManager::BddManager(Var num_vars, std::size_t node_limit)
-    : table_(num_vars, node_limit, "BDD") {}
+BddManager::BddManager(Var num_vars, std::size_t node_limit,
+                       std::size_t cache_entries)
+    : table_(num_vars, node_limit, "BDD"), cache_(cache_entries) {}
 
 Ref BddManager::make_node(Var var, Ref low, Ref high) {
   if (low == high) return low;  // redundant-test elimination
@@ -15,6 +18,42 @@ Ref BddManager::make_node(Var var, Ref low, Ref high) {
 
 Ref BddManager::var(Var v) { return make_node(v, kFalse, kTrue); }
 Ref BddManager::nvar(Var v) { return make_node(v, kTrue, kFalse); }
+
+Ref BddManager::apply_rec(Op op, Ref f, Ref g) {
+  // Terminal cases; anything left has a non-terminal operand to split on.
+  switch (op) {
+    case kOpAnd:
+      if (f == kFalse || g == kFalse) return kFalse;
+      if (f == kTrue || f == g) return g;
+      if (g == kTrue) return f;
+      break;
+    case kOpOr:
+      if (f == kTrue || g == kTrue) return kTrue;
+      if (f == kFalse || f == g) return g;
+      if (g == kFalse) return f;
+      break;
+    default:  // kOpDiff
+      if (f == kFalse || g == kTrue || f == g) return kFalse;
+      if (g == kFalse) return f;
+      break;
+  }
+  if (op != kOpDiff && f > g) std::swap(f, g);  // ∧ and ∨ commute
+
+  Ref out;
+  if (cache_.lookup(op, f, g, 0, out)) return out;
+
+  // Copy: recursion below may grow the node arena and invalidate references.
+  const dd::Node nf = node(f);
+  const dd::Node ng = node(g);
+  const Var top = std::min(nf.var, ng.var);
+  Ref lo =
+      apply_rec(op, nf.var == top ? nf.low : f, ng.var == top ? ng.low : g);
+  Ref hi =
+      apply_rec(op, nf.var == top ? nf.high : f, ng.var == top ? ng.high : g);
+  Ref result = make_node(top, lo, hi);
+  cache_.store(op, f, g, 0, result);
+  return result;
+}
 
 Ref BddManager::ite(Ref f, Ref g, Ref h) { return ite_rec(f, g, h); }
 
@@ -25,9 +64,8 @@ Ref BddManager::ite_rec(Ref f, Ref g, Ref h) {
   if (g == h) return g;
   if (g == kTrue && h == kFalse) return f;
 
-  TripleKey key{f, g, h};
-  if (auto it = ite_cache_.find(key); it != ite_cache_.end())
-    return it->second;
+  Ref out;
+  if (cache_.lookup(kOpIte, f, g, h, out)) return out;
 
   Var top = node(f).var;
   top = std::min(top, node(g).var);
@@ -41,7 +79,7 @@ Ref BddManager::ite_rec(Ref f, Ref g, Ref h) {
   Ref lo = ite_rec(cof(f, false), cof(g, false), cof(h, false));
   Ref hi = ite_rec(cof(f, true), cof(g, true), cof(h, true));
   Ref result = make_node(top, lo, hi);
-  ite_cache_.emplace(key, result);
+  cache_.store(kOpIte, f, g, h, result);
   return result;
 }
 
@@ -54,51 +92,41 @@ Ref BddManager::cube(const std::vector<Var>& vars) {
 }
 
 Ref BddManager::exists(Ref f, Ref cube) {
-  std::unordered_map<TripleKey, Ref, TripleKeyHash> cache;
-  return exists_rec(f, cube, cache, /*universal=*/false);
+  return exists_rec(f, cube, /*universal=*/false);
 }
 
 Ref BddManager::forall(Ref f, Ref cube) {
-  std::unordered_map<TripleKey, Ref, TripleKeyHash> cache;
-  return exists_rec(f, cube, cache, /*universal=*/true);
+  return exists_rec(f, cube, /*universal=*/true);
 }
 
-Ref BddManager::exists_rec(
-    Ref f, Ref cube, std::unordered_map<TripleKey, Ref, TripleKeyHash>& cache,
-    bool universal) {
+Ref BddManager::exists_rec(Ref f, Ref cube, bool universal) {
   if (is_terminal(f)) return f;
   // Skip quantified variables above f's top level: they don't constrain f.
   while (!is_terminal(cube) && node(cube).var < node(f).var)
     cube = node(cube).high;
   if (cube == kTrue) return f;
 
-  TripleKey key{f, cube, universal ? Ref{1} : Ref{0}};
-  if (auto it = cache.find(key); it != cache.end()) return it->second;
+  const Ref flag = universal ? 1 : 0;
+  Ref out;
+  if (cache_.lookup(kOpExists, f, cube, flag, out)) return out;
 
   // Copy: recursion below may grow the node arena and invalidate references.
   const dd::Node n = node(f);
   Ref result;
   if (n.var == node(cube).var) {
-    Ref lo = exists_rec(n.low, node(cube).high, cache, universal);
-    Ref hi = exists_rec(n.high, node(cube).high, cache, universal);
+    Ref lo = exists_rec(n.low, node(cube).high, universal);
+    Ref hi = exists_rec(n.high, node(cube).high, universal);
     result = universal ? apply_and(lo, hi) : apply_or(lo, hi);
   } else {
-    Ref lo = exists_rec(n.low, cube, cache, universal);
-    Ref hi = exists_rec(n.high, cube, cache, universal);
+    Ref lo = exists_rec(n.low, cube, universal);
+    Ref hi = exists_rec(n.high, cube, universal);
     result = make_node(n.var, lo, hi);
   }
-  cache.emplace(key, result);
+  cache_.store(kOpExists, f, cube, flag, result);
   return result;
 }
 
 Ref BddManager::and_exists(Ref f, Ref g, Ref cube) {
-  // The persistent cache is keyed on (f, g, inner cube); clearing it when the
-  // caller switches to a different top-level cube keeps it from growing
-  // without bound across unrelated image computations.
-  if (cube != and_exists_cube_marker_) {
-    and_exists_cache_.clear();
-    and_exists_cube_marker_ = cube;
-  }
   return and_exists_rec(f, g, cube);
 }
 
@@ -106,20 +134,16 @@ Ref BddManager::and_exists_rec(Ref f, Ref g, Ref cube) {
   if (f == kFalse || g == kFalse) return kFalse;
   if (cube == kTrue) return apply_and(f, g);
   if (f == kTrue && g == kTrue) return kTrue;
+  if (f > g) std::swap(f, g);  // ∧ is commutative
 
-  TripleKey key{f, g, cube};
-  if (auto it = and_exists_cache_.find(key); it != and_exists_cache_.end())
-    return it->second;
+  Ref out;
+  if (cache_.lookup(kOpAndExists, f, g, cube, out)) return out;
+  const Ref key_cube = cube;
 
   Var top = std::min(node(f).var, node(g).var);
   // Quantified variables above both supports contribute nothing.
   while (!is_terminal(cube) && node(cube).var < top)
     cube = node(cube).high;
-  if (cube == kTrue) {
-    Ref r = apply_and(f, g);
-    and_exists_cache_.emplace(key, r);
-    return r;
-  }
 
   auto cof = [&](Ref x, bool hi) -> Ref {
     if (node(x).var != top) return x;
@@ -127,7 +151,9 @@ Ref BddManager::and_exists_rec(Ref f, Ref g, Ref cube) {
   };
 
   Ref result;
-  if (node(cube).var == top) {
+  if (cube == kTrue) {
+    result = apply_and(f, g);
+  } else if (node(cube).var == top) {
     Ref inner = node(cube).high;
     Ref lo = and_exists_rec(cof(f, false), cof(g, false), inner);
     if (lo == kTrue) {
@@ -141,32 +167,61 @@ Ref BddManager::and_exists_rec(Ref f, Ref g, Ref cube) {
     Ref hi = and_exists_rec(cof(f, true), cof(g, true), cube);
     result = make_node(top, lo, hi);
   }
-  and_exists_cache_.emplace(key, result);
+  cache_.store(kOpAndExists, f, g, key_cube, result);
   return result;
 }
 
-Ref BddManager::rename(Ref f, const std::vector<Var>& map) {
-  // Monotonicity check over the support keeps the recursion order-safe.
-  std::vector<Var> sup = support(f);
-  for (std::size_t i = 1; i < sup.size(); ++i) {
-    if (map[sup[i - 1]] >= map[sup[i]])
+UpdateId BddManager::add_update(std::vector<VarUpdate> updates) {
+  std::sort(updates.begin(), updates.end(),
+            [](const VarUpdate& a, const VarUpdate& b) {
+              return a.var < b.var;
+            });
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    if (updates[i].var >= num_vars())
       throw std::invalid_argument(
-          "BddManager::rename: map is not strictly monotone on support");
+          "BddManager::add_update: variable out of range");
+    if (i > 0 && updates[i - 1].var == updates[i].var)
+      throw std::invalid_argument(
+          "BddManager::add_update: repeated variable");
   }
-  std::unordered_map<Ref, Ref> cache;
-  return rename_rec(f, map, cache);
+  const auto id = static_cast<UpdateId>(updates_.size());
+  updates_.insert(updates_.end(), updates.begin(), updates.end());
+  updates_.push_back({num_vars(), false, false});
+  return id;
 }
 
-Ref BddManager::rename_rec(Ref f, const std::vector<Var>& map,
-                           std::unordered_map<Ref, Ref>& cache) {
-  if (is_terminal(f)) return f;
-  if (auto it = cache.find(f); it != cache.end()) return it->second;
+Ref BddManager::fire_rec(Ref f, UpdateId i) {
+  if (f == kFalse) return kFalse;
+  const VarUpdate u = updates_[i];
+  if (u.var == num_vars()) return f;  // every update applied
+
+  Ref out;
+  if (cache_.lookup(kOpFire, f, i, 0, out)) return out;
+
   // Copy: recursion below may grow the node arena and invalidate references.
   const dd::Node n = node(f);
-  Ref lo = rename_rec(n.low, map, cache);
-  Ref hi = rename_rec(n.high, map, cache);
-  Ref result = make_node(map[n.var], lo, hi);
-  cache.emplace(f, result);
+  Ref result;
+  if (n.var < u.var) {
+    // A level the update does not touch passes through.
+    Ref lo = fire_rec(n.low, i);
+    Ref hi = fire_rec(n.high, i);
+    result = make_node(n.var, lo, hi);
+  } else {
+    // f's cofactors on u.var (both f itself if f does not test it).
+    const Ref f0 = n.var == u.var ? n.low : f;
+    const Ref f1 = n.var == u.var ? n.high : f;
+    // Untested: the OR of both cofactors' images. Firing each cofactor
+    // before the OR keeps the intermediate functions smaller than firing
+    // their OR (about half the peak nodes on the Table-1 models).
+    Ref rest;
+    if (u.test || f0 == f1)
+      rest = fire_rec(u.test ? f1 : f0, i + 1);
+    else
+      rest = apply_or(fire_rec(f0, i + 1), fire_rec(f1, i + 1));
+    result = u.value ? make_node(u.var, kFalse, rest)
+                     : make_node(u.var, rest, kFalse);
+  }
+  cache_.store(kOpFire, f, i, 0, result);
   return result;
 }
 
@@ -318,6 +373,18 @@ std::size_t BddManager::node_count(Ref f) const {
     stack.push_back(node(x).high);
   }
   return count + (saw_false ? 1 : 0) + (saw_true ? 1 : 0);
+}
+
+BddStats BddManager::stats() const {
+  BddStats s;
+  s.nodes = table_.size();
+  s.unique_slots = table_.slot_count();
+  s.memory_bytes = table_.memory_bytes() + cache_.memory_bytes();
+  for (std::size_t op = 0; op < BddStats::kOpCount; ++op) {
+    s.op_hits[op] = cache_.op_hits(static_cast<std::uint8_t>(op));
+    s.op_misses[op] = cache_.op_misses(static_cast<std::uint8_t>(op));
+  }
+  return s;
 }
 
 }  // namespace gpo::bdd

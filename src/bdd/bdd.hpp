@@ -17,18 +17,26 @@
 //    construction the peak live size — exactly the "Peak BDD-size" statistic
 //    Table 1 reports for SMV. A configurable node limit turns pathological
 //    orderings into a clean BddLimitExceeded instead of memory exhaustion.
+//  * Every memoized operation (and/or/diff, ite, the quantifiers,
+//    and_exists, fire) shares one bounded direct-mapped computed table
+//    (the kernel's, with three key operands; 64K entries by default), so
+//    memo memory is fixed however long a fixpoint runs; an overwritten
+//    entry is recomputed.
+//  * fire() is the image step of the symbolic reachability engine: a local
+//    update that tests and sets a few variables and passes every other level
+//    through, over the same variables (no next-state copies, no relation
+//    BDDs, no rename).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bdd/dd_kernel.hpp"
 #include "util/bitset.hpp"
-#include "util/hash.hpp"
 
 namespace gpo::bdd {
 
@@ -43,13 +51,44 @@ inline constexpr Ref kTrue = dd::kTerminal1;
 /// Thrown when an operation would grow the arena past the node limit.
 using BddLimitExceeded = dd::DdLimitExceeded;
 
+/// One variable of a local update (see BddManager::fire): with `test` the
+/// variable must be 1 before the update; afterwards it is `value`.
+struct VarUpdate {
+  Var var;
+  bool test;
+  bool value;
+};
+
+/// Handle of an update registered with BddManager::add_update.
+using UpdateId = std::uint32_t;
+
+/// Counters for the telemetry layer (bdd.* gauges of the run report).
+struct BddStats {
+  /// Op kinds in the per-op cache breakdown (index == BddManager's Op enum).
+  static constexpr std::size_t kOpCount = 7;
+  /// Registry-friendly op names, parallel to the per-op arrays. "exists"
+  /// covers both quantifiers.
+  static constexpr const char* kOpNames[kOpCount] = {
+      "and", "or", "diff", "ite", "exists", "and_exists", "fire"};
+
+  std::size_t nodes = 0;         ///< arena size == peak live nodes (no GC)
+  std::size_t unique_slots = 0;  ///< unique-table slots
+  std::size_t memory_bytes = 0;  ///< arena + unique table + computed table
+  /// Computed-table hits and misses per op.
+  std::array<std::size_t, kOpCount> op_hits{};
+  std::array<std::size_t, kOpCount> op_misses{};
+};
+
 class BddManager {
  public:
   /// `num_vars` fixes the variable universe 0..num_vars-1 (variable index ==
   /// level: smaller index is closer to the root). `node_limit` bounds the
-  /// arena size.
-  explicit BddManager(Var num_vars, std::size_t node_limit = std::size_t{1}
-                                                             << 23);
+  /// arena size; `cache_entries` bounds the computed table (rounded up to a
+  /// power of two; it starts at up to 1K entries and doubles toward the
+  /// bound as it fills).
+  explicit BddManager(Var num_vars,
+                      std::size_t node_limit = std::size_t{1} << 23,
+                      std::size_t cache_entries = std::size_t{1} << 16);
 
   [[nodiscard]] Var num_vars() const { return table_.num_vars(); }
 
@@ -59,15 +98,15 @@ class BddManager {
   [[nodiscard]] Ref nvar(Var v);
 
   [[nodiscard]] Ref ite(Ref f, Ref g, Ref h);
-  [[nodiscard]] Ref apply_not(Ref f) { return ite(f, kFalse, kTrue); }
-  [[nodiscard]] Ref apply_and(Ref f, Ref g) { return ite(f, g, kFalse); }
-  [[nodiscard]] Ref apply_or(Ref f, Ref g) { return ite(f, kTrue, g); }
+  [[nodiscard]] Ref apply_not(Ref f) { return apply_diff(kTrue, f); }
+  [[nodiscard]] Ref apply_and(Ref f, Ref g) { return apply_rec(kOpAnd, f, g); }
+  [[nodiscard]] Ref apply_or(Ref f, Ref g) { return apply_rec(kOpOr, f, g); }
   [[nodiscard]] Ref apply_xor(Ref f, Ref g) {
     return ite(f, apply_not(g), g);
   }
   /// f ∧ ¬g — set difference when functions encode families of sets.
   [[nodiscard]] Ref apply_diff(Ref f, Ref g) {
-    return ite(g, kFalse, f);
+    return apply_rec(kOpDiff, f, g);
   }
   [[nodiscard]] Ref apply_imp(Ref f, Ref g) { return ite(f, g, kTrue); }
   [[nodiscard]] Ref apply_iff(Ref f, Ref g) { return ite(f, g, apply_not(g)); }
@@ -84,10 +123,18 @@ class BddManager {
   /// computation, without building f ∧ g in full.
   [[nodiscard]] Ref and_exists(Ref f, Ref g, Ref cube);
 
-  /// Renames variables: node with var v becomes var map[v]. The map must be
-  /// strictly monotone on the support of f (checked), which keeps the result
-  /// ordered without re-normalization.
-  [[nodiscard]] Ref rename(Ref f, const std::vector<Var>& map);
+  /// Registers a local update over distinct variables (any order) and
+  /// returns its handle for fire(). Updates live as long as the manager.
+  [[nodiscard]] UpdateId add_update(std::vector<VarUpdate> updates);
+
+  /// Image of f under update u: every assignment of f that has each tested
+  /// variable at 1, with each updated variable set to its new value. One
+  /// memoized pass over f: at an updated level it continues on the high
+  /// cofactor (tested) or on both cofactors, ORing their images (untested),
+  /// and rebuilds the node with the new value; every other level passes
+  /// through unchanged. For a 1-safe Petri net transition this is the
+  /// successor set of f.
+  [[nodiscard]] Ref fire(Ref f, UpdateId u) { return fire_rec(f, u); }
 
   /// Cofactor: f with variable v fixed to `value`.
   [[nodiscard]] Ref restrict_var(Ref f, Var v, bool value);
@@ -117,41 +164,41 @@ class BddManager {
   /// Arena size == peak live nodes (no GC), the Table-1 "peak BDD" metric.
   [[nodiscard]] std::size_t total_nodes() const { return table_.size(); }
 
+  [[nodiscard]] BddStats stats() const;
+
   [[nodiscard]] Var var_of(Ref f) const { return table_.node(f).var; }
   [[nodiscard]] Ref low_of(Ref f) const { return table_.node(f).low; }
   [[nodiscard]] Ref high_of(Ref f) const { return table_.node(f).high; }
   [[nodiscard]] bool is_terminal(Ref f) const { return f <= kTrue; }
 
  private:
-  struct TripleKey {
-    Ref a, b, c;
-    bool operator==(const TripleKey&) const = default;
-  };
-  struct TripleKeyHash {
-    std::size_t operator()(const TripleKey& k) const {
-      return static_cast<std::size_t>(util::mix64(
-          (std::uint64_t{k.a} << 42) ^ (std::uint64_t{k.b} << 21) ^ k.c));
-    }
+  /// Computed-table op codes (index into BddStats::kOpNames).
+  enum Op : std::uint8_t {
+    kOpAnd = 0,
+    kOpOr = 1,
+    kOpDiff = 2,
+    kOpIte = 3,
+    kOpExists = 4,  // third key operand: 1 for forall, 0 for exists
+    kOpAndExists = 5,
+    kOpFire = 6,
   };
 
   [[nodiscard]] const dd::Node& node(Ref r) const { return table_.node(r); }
 
   Ref make_node(Var var, Ref low, Ref high);
 
+  Ref apply_rec(Op op, Ref f, Ref g);
   Ref ite_rec(Ref f, Ref g, Ref h);
-  Ref exists_rec(Ref f, Ref cube,
-                 std::unordered_map<TripleKey, Ref, TripleKeyHash>& cache,
-                 bool universal);
+  Ref exists_rec(Ref f, Ref cube, bool universal);
   Ref and_exists_rec(Ref f, Ref g, Ref cube);
-  Ref rename_rec(Ref f, const std::vector<Var>& map,
-                 std::unordered_map<Ref, Ref>& cache);
+  /// `i` indexes updates_: the suffix of one update still to apply.
+  Ref fire_rec(Ref f, UpdateId i);
 
   dd::NodeTable table_;
-  std::unordered_map<TripleKey, Ref, TripleKeyHash> ite_cache_;
-  std::unordered_map<TripleKey, Ref, TripleKeyHash> and_exists_cache_;
-  /// and_exists keys its cache on (f, g, cube); the marker lets us clear the
-  /// cache when callers switch cubes so it cannot grow without bound.
-  Ref and_exists_cube_marker_ = kFalse;
+  dd::BasicComputedCache<3> cache_;
+  /// Every registered update, flattened and each closed by an entry whose
+  /// var is num_vars(); a suffix index is a fire() memo key.
+  std::vector<VarUpdate> updates_;
 };
 
 }  // namespace gpo::bdd

@@ -14,13 +14,14 @@
 //     The unique table is open-addressed: a flat power-of-two array of
 //     Refs probed linearly and compared against the arena, so a new node
 //     costs no heap allocation of its own.
-//   * ComputedCache — a bounded direct-mapped memo table for binary node
-//     operations, the classical "computed table" of OBDD packages. A
-//     colliding entry is overwritten (counted as an eviction), so memory is
-//     bounded without eviction scans; recomputation after overwrite is
-//     sound because ops are deterministic functions of canonical Refs. It
-//     starts small and doubles up to its bound, so a short run does not pay
-//     for a table sized for a long one.
+//   * BasicComputedCache — a bounded direct-mapped memo table for node
+//     operations, the classical "computed table" of OBDD packages, keyed on
+//     two Refs (ZDD) or three (BDD). A colliding entry is overwritten
+//     (counted as an eviction), so memory is bounded without eviction
+//     scans; recomputation after overwrite is sound because ops are
+//     deterministic functions of canonical Refs. It starts small and
+//     doubles up to its bound, so a short run does not pay for a table
+//     sized for a long one.
 //   * DdLimitExceeded — the clean out-of-budget escape both managers throw
 //     instead of exhausting memory on a pathological variable order.
 #pragma once
@@ -150,48 +151,55 @@ class NodeTable {
   std::vector<Ref> slots_;  // Refs into nodes_; kInvalidRef marks a free slot
 };
 
-/// Bounded direct-mapped computed table for (op, f, g) -> result memoization.
-/// The counters decompose the miss stream: `evictions` counts colliding
-/// overwrites (capacity misses), so hit rate shortfalls can be attributed to
-/// cache size vs. compulsory first-sight misses.
+/// Bounded direct-mapped computed table for (op, key...) -> result
+/// memoization, keyed on `Arity` Refs: 2 for the binary family algebra of
+/// the ZDD package, 3 for the BDD package, whose ite / and_exists / exists
+/// need a third operand. The counters decompose the miss stream:
+/// `evictions` counts colliding overwrites (capacity misses), so hit rate
+/// shortfalls can be attributed to cache size vs. compulsory first-sight
+/// misses.
 ///
 /// The table starts at kInitialEntries (or the bound, if smaller) and
 /// doubles once half its slots are occupied, until it reaches the bound.
 /// Doubling re-places every live entry: the slot of an entry in the larger
 /// table agrees with its old slot in the low bits, so distinct old slots
 /// never collide and growth loses nothing.
-class ComputedCache {
+template <std::size_t Arity>
+class BasicComputedCache {
+  static_assert(Arity == 2 || Arity == 3, "binary or ternary keys only");
+
  public:
+  using Key = std::array<Ref, Arity>;
+
   /// Slots a fresh cache starts with (a power of two).
   static constexpr std::size_t kInitialEntries = 1024;
 
   /// `max_entries` bounds the table (rounded up to a power of two).
-  explicit ComputedCache(std::size_t max_entries) {
+  explicit BasicComputedCache(std::size_t max_entries) {
     while (max_entries_ < max_entries) max_entries_ <<= 1;
     slots_.resize(std::min(kInitialEntries, max_entries_));
   }
 
-  [[nodiscard]] bool lookup(std::uint8_t op, Ref a, Ref b, Ref& out) {
-    const Entry& e = slots_[index(op, a, b)];
-    if (e.a == a && e.b == b && e.op == op) {
-      ++hits_;
-      ++op_hits_[op & (kOpKinds - 1)];
-      out = e.result;
-      return true;
-    }
-    ++misses_;
-    ++op_misses_[op & (kOpKinds - 1)];
-    return false;
+  [[nodiscard]] bool lookup(std::uint8_t op, Ref a, Ref b, Ref& out)
+    requires(Arity == 2)
+  {
+    return find(op, Key{a, b}, out);
+  }
+  [[nodiscard]] bool lookup(std::uint8_t op, Ref a, Ref b, Ref c, Ref& out)
+    requires(Arity == 3)
+  {
+    return find(op, Key{a, b, c}, out);
   }
 
-  void store(std::uint8_t op, Ref a, Ref b, Ref result) {
-    Entry& e = slots_[index(op, a, b)];
-    if (e.a == kInvalidRef)
-      ++occupied_;
-    else if (e.a != a || e.b != b || e.op != op)
-      ++evictions_;
-    e = {a, b, result, op};
-    if (2 * occupied_ >= slots_.size() && slots_.size() < max_entries_) grow();
+  void store(std::uint8_t op, Ref a, Ref b, Ref result)
+    requires(Arity == 2)
+  {
+    put(op, Key{a, b}, result);
+  }
+  void store(std::uint8_t op, Ref a, Ref b, Ref c, Ref result)
+    requires(Arity == 3)
+  {
+    put(op, Key{a, b, c}, result);
   }
 
   /// Distinct op kinds the per-op breakdown tracks; op codes are folded
@@ -220,17 +228,48 @@ class ComputedCache {
 
  private:
   struct Entry {
-    Ref a = kInvalidRef;  // kInvalidRef marks a never-written slot
-    Ref b = 0;
+    Key key{kInvalidRef};  // key[0] == kInvalidRef marks a never-written slot
     Ref result = 0;
     std::uint8_t op = 0;
   };
 
-  [[nodiscard]] std::size_t index(std::uint8_t op, Ref a, Ref b) const {
-    return static_cast<std::size_t>(
-               util::mix64((std::uint64_t{a} << 34) ^
-                           (std::uint64_t{op} << 32) ^ std::uint64_t{b})) &
-           (slots_.size() - 1);
+  [[nodiscard]] static bool same_key(const Key& x, const Key& y) {
+    bool same = x[0] == y[0] && x[1] == y[1];
+    if constexpr (Arity == 3) same = same && x[2] == y[2];
+    return same;
+  }
+
+  [[nodiscard]] bool find(std::uint8_t op, const Key& key, Ref& out) {
+    const Entry& e = slots_[index(op, key)];
+    if (same_key(e.key, key) && e.op == op) {
+      ++hits_;
+      ++op_hits_[op & (kOpKinds - 1)];
+      out = e.result;
+      return true;
+    }
+    ++misses_;
+    ++op_misses_[op & (kOpKinds - 1)];
+    return false;
+  }
+
+  void put(std::uint8_t op, const Key& key, Ref result) {
+    Entry& e = slots_[index(op, key)];
+    if (e.key[0] == kInvalidRef)
+      ++occupied_;
+    else if (!same_key(e.key, key) || e.op != op)
+      ++evictions_;
+    e = {key, result, op};
+    if (2 * occupied_ >= slots_.size() && slots_.size() < max_entries_) grow();
+  }
+
+  [[nodiscard]] std::size_t index(std::uint8_t op, const Key& key) const {
+    std::uint64_t h = (std::uint64_t{key[0]} << 34) ^
+                      (std::uint64_t{op} << 32) ^ std::uint64_t{key[1]};
+    // The third operand enters through a golden-ratio multiply, which
+    // spreads it over the high bits before the shared finalizer.
+    if constexpr (Arity == 3)
+      h += std::uint64_t{key[2]} * 0x9e3779b97f4a7c15ull;
+    return static_cast<std::size_t>(util::mix64(h)) & (slots_.size() - 1);
   }
 
   /// Doubles the table, re-placing every live entry.
@@ -238,7 +277,7 @@ class ComputedCache {
     std::vector<Entry> old(2 * slots_.size());
     old.swap(slots_);
     for (const Entry& e : old)
-      if (e.a != kInvalidRef) slots_[index(e.op, e.a, e.b)] = e;
+      if (e.key[0] != kInvalidRef) slots_[index(e.op, e.key)] = e;
   }
 
   std::size_t max_entries_ = 1;
@@ -250,5 +289,8 @@ class ComputedCache {
   std::array<std::size_t, kOpKinds> op_hits_{};
   std::array<std::size_t, kOpKinds> op_misses_{};
 };
+
+/// The binary computed table of the ZDD family algebra.
+using ComputedCache = BasicComputedCache<2>;
 
 }  // namespace gpo::dd

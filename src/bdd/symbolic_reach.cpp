@@ -1,6 +1,7 @@
 #include "bdd/symbolic_reach.hpp"
 
 #include <deque>
+#include <utility>
 
 #include "util/stopwatch.hpp"
 
@@ -47,12 +48,11 @@ std::vector<PlaceId> compute_place_order(const petri::PetriNet& net,
 
 SymbolicReachability::SymbolicReachability(const petri::PetriNet& net,
                                            SymbolicOptions options)
-    : net_(net), options_(options) {
+    : net_(net), options_(std::move(options)) {
   order_ = compute_place_order(net, options_.order);
   position_.assign(net.place_count(), 0);
   for (std::uint32_t i = 0; i < order_.size(); ++i) position_[order_[i]] = i;
-  manager_.emplace(static_cast<Var>(2 * net.place_count()),
-                   options_.node_limit);
+  manager_.emplace(static_cast<Var>(net.place_count()), options_.node_limit);
 }
 
 SymbolicResult SymbolicReachability::analyze() {
@@ -62,100 +62,87 @@ SymbolicResult SymbolicReachability::analyze() {
   const std::size_t np = net_.place_count();
   const std::size_t nt = net_.transition_count();
 
+  // The poll between two transition images: a chaining sweep covers the
+  // whole reached set, so polling once per sweep would let a cancelled or
+  // timed-out run finish a long sweep first.
+  auto must_stop = [&](std::size_t sweep, TransitionId t) {
+    if (options_.before_image) options_.before_image(sweep, t);
+    if (timer.elapsed_seconds() > options_.max_seconds)
+      result.blowup_reason = "time limit";
+    else if (util::cancel_requested(options_.cancel))
+      result.blowup_reason = "cancelled";
+    else
+      return false;
+    result.blowup = true;
+    return true;
+  };
+
   try {
-    // Initial state: full assignment over current-state variables.
-    Ref init = kTrue;
-    for (PlaceId p = 0; p < np; ++p) {
-      Ref lit = net_.initial_marking().test(p) ? mgr.var(cur_var(p))
-                                               : mgr.nvar(cur_var(p));
-      init = mgr.apply_and(init, lit);
-    }
-
-    // Per-transition pieces: enabling condition over current vars, update
-    // over next vars of touched places, quantification cube, rename map.
-    std::vector<Ref> enabling(nt), relation(nt), quant_cube(nt);
-    std::vector<std::vector<Var>> rename_map(nt);
-    for (TransitionId t = 0; t < nt; ++t) {
-      const auto& tr = net_.transition(t);
-      Ref en = kTrue;
-      for (PlaceId p : tr.pre) en = mgr.apply_and(en, mgr.var(cur_var(p)));
-      enabling[t] = en;
-
-      Ref rel = en;
-      std::vector<Var> touched_cur;
-      // Touched places: •t ∪ t•. Post places end marked; pre-only end empty.
-      for (PlaceId p : tr.post)
-        rel = mgr.apply_and(rel, mgr.var(nxt_var(p)));
-      for (PlaceId p : tr.pre) {
-        touched_cur.push_back(cur_var(p));
-        if (!tr.post_bits.test(p))
-          rel = mgr.apply_and(rel, mgr.nvar(nxt_var(p)));
+    Ref reached = kTrue;
+    {
+      obs::Span span(options_.tracer, "symbolic-fixpoint");
+      // Initial state: the full assignment of the initial marking.
+      for (PlaceId p = 0; p < np; ++p) {
+        Ref lit = net_.initial_marking().test(p) ? mgr.var(var_of(p))
+                                                 : mgr.nvar(var_of(p));
+        reached = mgr.apply_and(reached, lit);
       }
-      for (PlaceId p : tr.post)
-        if (!tr.pre_bits.test(p)) touched_cur.push_back(cur_var(p));
-      relation[t] = rel;
-      quant_cube[t] = mgr.cube(touched_cur);
 
-      // After quantifying the touched current vars, rename the touched next
-      // vars down to their current counterparts (monotone: 2k+1 -> 2k).
-      std::vector<Var> map(mgr.num_vars());
-      for (Var v = 0; v < mgr.num_vars(); ++v) map[v] = v;
-      for (PlaceId p : tr.pre) map[nxt_var(p)] = cur_var(p);
-      for (PlaceId p : tr.post) map[nxt_var(p)] = cur_var(p);
-      rename_map[t] = std::move(map);
-    }
-
-    Ref reached = init;
-    Ref frontier = init;
-    while (frontier != kFalse) {
-      if (timer.elapsed_seconds() > options_.max_seconds) {
-        result.blowup = true;
-        result.blowup_reason = "time limit";
-        break;
-      }
-      if (util::cancel_requested(options_.cancel)) {
-        result.blowup = true;
-        result.blowup_reason = "cancelled";
-        break;
-      }
-      ++result.iterations;
-      Ref next_frontier = kFalse;
+      // Each transition as a local update: a pre-place is tested and stays
+      // marked iff it is also a post-place; a post-only place becomes
+      // marked whatever it held.
+      std::vector<UpdateId> update(nt);
       for (TransitionId t = 0; t < nt; ++t) {
-        Ref img = mgr.and_exists(frontier, relation[t], quant_cube[t]);
-        img = mgr.rename(img, rename_map[t]);
-        next_frontier = mgr.apply_or(next_frontier, img);
+        const auto& tr = net_.transition(t);
+        std::vector<VarUpdate> u;
+        for (PlaceId p : tr.pre)
+          u.push_back({var_of(p), true, tr.post_bits.test(p)});
+        for (PlaceId p : tr.post)
+          if (!tr.pre_bits.test(p)) u.push_back({var_of(p), false, true});
+        update[t] = mgr.add_update(std::move(u));
       }
-      frontier = mgr.apply_diff(next_frontier, reached);
-      reached = mgr.apply_or(reached, frontier);
+
+      for (bool grew = true; grew && !result.blowup;) {
+        ++result.iterations;
+        const Ref before = reached;
+        for (TransitionId t = 0; t < nt; ++t) {
+          if (must_stop(result.iterations, t)) break;
+          reached = mgr.apply_or(reached, mgr.fire(reached, update[t]));
+        }
+        grew = reached != before;
+      }
     }
     result.peak_nodes = mgr.total_nodes();
-    if (result.blowup) {
-      result.seconds = timer.elapsed_seconds();
-      return result;
-    }
 
-    // State count over the current-state variables.
-    std::vector<Var> cur_vars;
-    cur_vars.reserve(np);
-    for (PlaceId p = 0; p < np; ++p) cur_vars.push_back(cur_var(p));
-    result.state_count = mgr.sat_count(reached, cur_vars);
+    if (!result.blowup) {
+      obs::Span span(options_.tracer, "deadlock-check");
+      std::vector<Var> all_vars(np);
+      for (Var v = 0; v < np; ++v) all_vars[v] = v;
+      result.state_count = mgr.sat_count(reached, all_vars);
 
-    // Deadlock: a reachable state where no transition is enabled.
-    Ref some_enabled = kFalse;
-    for (TransitionId t = 0; t < nt; ++t)
-      some_enabled = mgr.apply_or(some_enabled, enabling[t]);
-    Ref dead = mgr.apply_diff(reached, some_enabled);
-    if (options_.required_deadlock_place)
-      dead = mgr.apply_and(
-          dead, mgr.var(cur_var(*options_.required_deadlock_place)));
-    result.peak_nodes = mgr.total_nodes();
-    if (dead != kFalse) {
-      result.deadlock_found = true;
-      util::Bitset assignment = mgr.pick_one_sat(dead);
-      petri::Marking witness(np);
-      for (PlaceId p = 0; p < np; ++p)
-        if (assignment.test(cur_var(p))) witness.set(p);
-      result.deadlock_witness = witness;
+      // Deadlock: a reachable state where no transition is enabled. Taking
+      // each enabling cube out of the reached set in turn keeps every
+      // intermediate a subset of it; the disjunction of all enabling cubes
+      // can be far larger than the reached set.
+      Ref dead = reached;
+      for (TransitionId t = 0; t < nt && dead != kFalse; ++t) {
+        Ref en = kTrue;
+        for (PlaceId p : net_.transition(t).pre)
+          en = mgr.apply_and(en, mgr.var(var_of(p)));
+        dead = mgr.apply_diff(dead, en);
+      }
+      if (options_.required_deadlock_place)
+        dead = mgr.apply_and(
+            dead, mgr.var(var_of(*options_.required_deadlock_place)));
+      result.peak_nodes = mgr.total_nodes();
+      if (dead != kFalse) {
+        result.deadlock_found = true;
+        util::Bitset assignment = mgr.pick_one_sat(dead);
+        petri::Marking witness(np);
+        for (PlaceId p = 0; p < np; ++p)
+          if (assignment.test(var_of(p))) witness.set(p);
+        result.deadlock_witness = witness;
+      }
     }
   } catch (const BddLimitExceeded& e) {
     result.blowup = true;
@@ -165,22 +152,27 @@ SymbolicResult SymbolicReachability::analyze() {
   result.seconds = timer.elapsed_seconds();
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *options_.metrics;
-    const std::string p = options_.metrics_prefix;
+    const std::string& p = options_.metrics_prefix;
+    const BddStats stats = mgr.stats();
     reg.counter(p + "iterations").store(result.iterations);
     reg.counter(p + "states")
         .store(static_cast<std::uint64_t>(result.state_count));
     reg.gauge(p + "peak_nodes").set(static_cast<double>(result.peak_nodes));
+    // The terminals live in the arena but not in the unique table.
     reg.gauge(p + "unique_table_load")
-        .set(options_.node_limit > 0
-                 ? static_cast<double>(result.peak_nodes) /
-                       static_cast<double>(options_.node_limit)
-                 : 0.0);
+        .set(static_cast<double>(stats.nodes - 2) /
+             static_cast<double>(stats.unique_slots));
+    for (std::size_t op = 0; op < BddStats::kOpCount; ++op) {
+      // The engine looks up four of the seven ops; the rest would read 0.
+      if (stats.op_hits[op] + stats.op_misses[op] == 0) continue;
+      const std::string name = p + "cache." + BddStats::kOpNames[op];
+      reg.counter(name + ".hits").store(stats.op_hits[op]);
+      reg.counter(name + ".misses").store(stats.op_misses[op]);
+    }
     reg.timer(p + "seconds")
         .record_ns(static_cast<std::uint64_t>(result.seconds * 1e9));
-    // Node record (var, low, high = 12B) plus a unique-table entry of the
-    // same key + index: ~24B per live node in this manager.
     reg.gauge("mem." + p + "node_bytes")
-        .set(static_cast<double>(result.peak_nodes) * 24.0);
+        .set(static_cast<double>(stats.memory_bytes));
   }
   return result;
 }

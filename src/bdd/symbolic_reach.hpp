@@ -1,16 +1,23 @@
 // Symbolic (OBDD-based) reachability analysis of safe Petri nets
 // (Section 2.4 of the paper) — the stand-in for the SMV baseline of Table 1.
 //
-// Encoding: one Boolean current-state variable and one next-state variable
-// per place, interleaved (cur(p)=2k, nxt(p)=2k+1 with k the place's position
-// in the chosen ordering). The transition relation is disjunctively
-// partitioned: each Petri net transition contributes a small relation over
-// the places it touches, and the image is the union of per-transition
-// relational products — unchanged places pass through without frame
-// conditions.
+// Encoding: one Boolean variable per place, at the place's position in the
+// chosen ordering. A transition of a 1-safe net only tests and sets the
+// places it touches, so its image is a local update (BddManager::fire):
+// one memoized pass that continues on the high cofactor at a pre-place and
+// ORs the images of both cofactors at a post-only place, rebuilds the node
+// with the place's new value and passes every other level through. No
+// next-state variables, relation BDDs, quantification cubes or renaming are
+// built.
+//
+// The fixpoint is chaining [Roig, Cortadella, Pastor 1995]: each sweep runs
+// reached |= fire(reached, t) for every transition in turn, so a state
+// found by one transition is fired by the next within the same sweep;
+// sweeps repeat until one adds nothing.
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <string>
@@ -18,6 +25,7 @@
 
 #include "bdd/bdd.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "petri/net.hpp"
 #include "util/cancel_token.hpp"
 
@@ -39,21 +47,34 @@ struct SymbolicOptions {
   std::size_t node_limit = std::size_t{1} << 23;
   double max_seconds = std::numeric_limits<double>::infinity();
   /// Cooperative cancellation; a fired token aborts the fixpoint with
-  /// blowup=true, blowup_reason="cancelled".
+  /// blowup=true, blowup_reason="cancelled". It is polled, with
+  /// max_seconds, before every transition's image, not once per sweep.
   const util::CancelToken* cancel = nullptr;
+  /// Called with (sweep, transition) just before that poll, i.e. before
+  /// each transition's image; a hook that fires `cancel` stops the run
+  /// before that image.
+  std::function<void(std::size_t, petri::TransitionId)> before_image;
   /// When set, only deadlocks marking this place count (safety-to-deadlock
   /// reduction); implemented as one extra conjunction on the dead-state set.
   std::optional<petri::PlaceId> required_deadlock_place;
   /// Optional telemetry sink; publishes "<metrics_prefix>iterations",
-  /// "<metrics_prefix>peak_nodes", the unique-table load factor and the
-  /// fixpoint time when set.
+  /// "<metrics_prefix>peak_nodes", "<metrics_prefix>unique_table_load"
+  /// (stored nodes / unique-table slots), the per-op computed-table
+  /// counters "<metrics_prefix>cache.<op>.{hits,misses}" of every op the
+  /// run looked up, the fixpoint time
+  /// and "mem.<metrics_prefix>node_bytes" (arena + unique table + computed
+  /// table) when set.
   obs::MetricsRegistry* metrics = nullptr;
   std::string metrics_prefix = "bdd.";
+  /// Optional phase tracer: analyze() opens the spans "symbolic-fixpoint"
+  /// and "deadlock-check".
+  obs::Tracer* tracer = nullptr;
 };
 
 struct SymbolicResult {
   /// Number of reachable markings (exact while it fits 53 bits).
   double state_count = 0;
+  /// Chaining sweeps over the transitions, the last one adding nothing.
   std::size_t iterations = 0;
   /// Peak BDD arena size — the "Peak BDD-size" column of Table 1.
   std::size_t peak_nodes = 0;
@@ -79,12 +100,7 @@ class SymbolicReachability {
   }
 
  private:
-  [[nodiscard]] Var cur_var(petri::PlaceId p) const {
-    return 2 * position_[p];
-  }
-  [[nodiscard]] Var nxt_var(petri::PlaceId p) const {
-    return 2 * position_[p] + 1;
-  }
+  [[nodiscard]] Var var_of(petri::PlaceId p) const { return position_[p]; }
 
   const petri::PetriNet& net_;
   SymbolicOptions options_;

@@ -659,6 +659,7 @@ int main(int argc, char** argv) {
         opt.max_seconds = max_seconds;
         opt.metrics = reg;
         opt.metrics_prefix = prefix;
+        opt.tracer = tr;
         auto r = gpo::bdd::SymbolicReachability(*analysis_net, opt).analyze();
         row = {e,        r.state_count,
                r.peak_nodes, r.deadlock_found,

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <set>
+#include <vector>
 
 namespace gpo::bdd {
 namespace {
@@ -107,21 +110,80 @@ TEST(Bdd, AndExistsMatchesComposition) {
   }
 }
 
-TEST(Bdd, RenameMonotone) {
-  BddManager mgr(6);
-  Ref f = mgr.apply_and(mgr.var(1), mgr.apply_or(mgr.var(3), mgr.nvar(5)));
-  std::vector<Var> map{0, 0, 2, 2, 4, 4};  // 1->0, 3->2, 5->4
-  Ref g = mgr.rename(f, map);
-  Ref expect =
-      mgr.apply_and(mgr.var(0), mgr.apply_or(mgr.var(2), mgr.nvar(4)));
-  EXPECT_EQ(g, expect);
+// fire() against the successor relation computed assignment by assignment:
+// random functions over up to 10 variables, several random updates per
+// manager (so memo entries of different updates share one table), and half
+// the managers on a 64-entry computed table, where entries are overwritten
+// and recomputed constantly.
+TEST(Bdd, FireMatchesExplicitSuccessors) {
+  std::mt19937 rng(23);
+  for (int trial = 0; trial < 120; ++trial) {
+    const Var nv = 1 + rng() % 10;
+    const std::size_t cache_entries = trial % 2 ? 64 : std::size_t{1} << 16;
+    BddManager mgr(nv, std::size_t{1} << 20, cache_entries);
+    std::vector<Var> all(nv);
+    for (Var v = 0; v < nv; ++v) all[v] = v;
+    auto mask_of = [&](const util::Bitset& b) {
+      unsigned m = 0;
+      for (Var v = 0; v < nv; ++v)
+        if (b.test(v)) m |= 1u << v;
+      return m;
+    };
+
+    std::vector<std::vector<VarUpdate>> updates(3);
+    std::vector<UpdateId> ids;
+    for (auto& u : updates) {
+      for (Var v = 0; v < nv; ++v)
+        if (rng() % 3 == 0)
+          u.push_back({v, rng() % 2 == 0, rng() % 2 == 0});
+      std::shuffle(u.begin(), u.end(), rng);  // add_update sorts
+      ids.push_back(mgr.add_update(u));
+    }
+
+    for (int fn = 0; fn < 3; ++fn) {
+      // A random truth table, as an OR of minterms.
+      const unsigned density = 1 + rng() % 99;
+      std::set<unsigned> members;
+      Ref f = kFalse;
+      for (unsigned m = 0; m < (1u << nv); ++m) {
+        if (rng() % 100 >= density) continue;
+        members.insert(m);
+        Ref minterm = kTrue;
+        for (Var v = 0; v < nv; ++v)
+          minterm = mgr.apply_and(minterm,
+                                  m >> v & 1 ? mgr.var(v) : mgr.nvar(v));
+        f = mgr.apply_or(f, minterm);
+      }
+      for (std::size_t k = 0; k < updates.size(); ++k) {
+        std::set<unsigned> expect;
+        for (unsigned m : members) {
+          bool enabled = true;
+          unsigned next = m;
+          for (const VarUpdate& u : updates[k]) {
+            if (u.test && !(m >> u.var & 1)) enabled = false;
+            next = u.value ? next | 1u << u.var : next & ~(1u << u.var);
+          }
+          if (enabled) expect.insert(next);
+        }
+        std::set<unsigned> got;
+        mgr.enumerate_sats(mgr.fire(f, ids[k]), all, std::size_t{1} << 12,
+                           [&](const util::Bitset& b) {
+                             got.insert(mask_of(b));
+                           });
+        EXPECT_EQ(got, expect) << "trial " << trial << " update " << k;
+      }
+    }
+  }
 }
 
-TEST(Bdd, RenameRejectsNonMonotoneMap) {
+TEST(Bdd, AddUpdateRejectsBadVariables) {
   BddManager mgr(4);
-  Ref f = mgr.apply_and(mgr.var(0), mgr.var(1));
-  std::vector<Var> swap{1, 0, 2, 3};
-  EXPECT_THROW((void)mgr.rename(f, swap), std::invalid_argument);
+  EXPECT_THROW((void)mgr.add_update({{4, true, false}}), std::invalid_argument);
+  EXPECT_THROW((void)mgr.add_update({{1, true, false}, {1, false, true}}),
+               std::invalid_argument);
+  // An empty update is the identity.
+  Ref f = mgr.apply_or(mgr.var(0), mgr.nvar(3));
+  EXPECT_EQ(mgr.fire(f, mgr.add_update({})), f);
 }
 
 TEST(Bdd, RestrictVar) {
