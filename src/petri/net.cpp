@@ -30,15 +30,9 @@ Marking PetriNet::fire(TransitionId t, const Marking& m, bool* unsafe) const {
 std::vector<TransitionId> PetriNet::enabled_transitions(
     const Marking& m) const {
   std::vector<TransitionId> out;
-  enabled_transitions(m, out);
-  return out;
-}
-
-void PetriNet::enabled_transitions(const Marking& m,
-                                   std::vector<TransitionId>& out) const {
-  out.clear();
   for (TransitionId t = 0; t < transitions_.size(); ++t)
     if (enabled(t, m)) out.push_back(t);
+  return out;
 }
 
 bool PetriNet::is_deadlocked(const Marking& m) const {

@@ -83,12 +83,6 @@ class PetriNet {
   [[nodiscard]] std::vector<TransitionId> enabled_transitions(
       const Marking& m) const;
 
-  /// Same, into a caller-provided scratch vector (cleared first). The
-  /// allocation-free variant for per-state hot loops: callers keep one
-  /// vector alive across states and its capacity is reused.
-  void enabled_transitions(const Marking& m,
-                           std::vector<TransitionId>& out) const;
-
   /// True if no transition is enabled in m (a classical deadlock).
   [[nodiscard]] bool is_deadlocked(const Marking& m) const;
 

@@ -36,33 +36,27 @@ enum class SeedStrategy {
 };
 
 /// Computes the stubborn closure of `seeds` at marking `m` and returns its
-/// enabled transitions, ascending. Exposed separately for unit tests.
+/// enabled transitions, ascending. Runs the closure the search runs
+/// (allocation-free, epoch-stamped scratch); exposed for unit tests.
 [[nodiscard]] std::vector<petri::TransitionId> stubborn_enabled_set(
     const petri::PetriNet& net, const petri::ConflictInfo& conflicts,
     const petri::Marking& m, const std::vector<petri::TransitionId>& seeds);
 
-struct StubbornOptions {
+struct StubbornOptions : reach::SearchOptions {
+  StubbornOptions() { metrics_prefix = "por."; }
+
   SeedStrategy strategy = SeedStrategy::kBestOverSeeds;
-  std::size_t max_states = std::numeric_limits<std::size_t>::max();
-  double max_seconds = std::numeric_limits<double>::infinity();
-  /// Cooperative cancellation; see reach::ExplorerOptions::cancel.
-  const util::CancelToken* cancel = nullptr;
-  bool stop_at_first_deadlock = false;
-  bool build_graph = false;
   /// When set, only dead markings satisfying the predicate count as
   /// deadlocks (used by the safety-to-deadlock reduction to single out
   /// monitor-induced deadlocks). Stubborn sets preserve *all* deadlocks, so
   /// filtering is sound.
   std::function<bool(const petri::Marking&)> deadlock_filter;
-  /// Optional telemetry sink; see reach::ExplorerOptions::metrics.
-  obs::MetricsRegistry* metrics = nullptr;
-  std::string metrics_prefix = "por.";
 };
 
 /// Reduced-order explorer: breadth-first search that expands, per marking,
-/// only the enabled transitions of one stubborn set. Reuses
-/// reach::ExplorerResult so results are directly comparable with the
-/// exhaustive engine.
+/// only the enabled transitions of one stubborn set. It runs the same search
+/// core and marking store as the exhaustive engine (reach/bfs_core.hpp) and
+/// returns reach::ExplorerResult, so results are directly comparable.
 class StubbornExplorer {
  public:
   StubbornExplorer(const petri::PetriNet& net, StubbornOptions options = {});
@@ -77,7 +71,8 @@ class StubbornExplorer {
       const std::vector<petri::Marking>& roots) const;
 
   /// The reduced successor-generating set at m (enabled transitions of the
-  /// selected stubborn set). Exposed for tests.
+  /// selected stubborn set), computed as the search computes it. Exposed
+  /// for tests.
   [[nodiscard]] std::vector<petri::TransitionId> ample_set(
       const petri::Marking& m) const;
 

@@ -19,10 +19,13 @@
 
 namespace gpo::reach {
 
-struct ExplorerOptions {
+/// The search fields the exhaustive and the stubborn-set engines share; both
+/// option structs derive from it and hand it to the search core as is.
+struct SearchOptions {
   /// Abort once this many distinct markings were stored.
   std::size_t max_states = std::numeric_limits<std::size_t>::max();
-  /// Abort after this much wall-clock time.
+  /// Abort after this much wall-clock time (the sequential search reads
+  /// the clock every 64 expansions).
   double max_seconds = std::numeric_limits<double>::infinity();
   /// Optional cooperative cancellation (the portfolio scheduler's
   /// first-to-answer abort). Polled in the main loop next to the wall-clock
@@ -31,9 +34,22 @@ struct ExplorerOptions {
   /// Stop the search at the first deadlock instead of exploring everything.
   bool stop_at_first_deadlock = false;
   /// Record the full reachability graph (states + labeled edges). Only
-  /// sensible for small nets; used by tests and DOT dumps. Forces the
-  /// sequential path regardless of num_threads.
+  /// sensible for small nets; used by tests and DOT dumps. The exhaustive
+  /// engine then stays sequential regardless of num_threads.
   bool build_graph = false;
+  /// Optional telemetry sink. When set, the engine bumps the live
+  /// "progress.states" / "progress.frontier" slots during the search (unless
+  /// hot counters are compiled out) and publishes its final counters under
+  /// `metrics_prefix` before returning. Results are bit-identical with or
+  /// without a registry attached.
+  obs::MetricsRegistry* metrics = nullptr;
+  /// Name prefix of the published counters, e.g. "engine.full.".
+  std::string metrics_prefix;
+};
+
+struct ExplorerOptions : SearchOptions {
+  ExplorerOptions() { metrics_prefix = "full."; }
+
   /// Optional safety property: exploration reports (and, with
   /// stop_at_first_deadlock, stops at) markings where this returns true.
   /// With num_threads > 1 the predicate is invoked concurrently from worker
@@ -46,14 +62,6 @@ struct ExplorerOptions {
   /// Stripes of the concurrent marking set. 0 = auto (scales with
   /// num_threads). Ignored on the sequential path.
   std::size_t shard_count = 0;
-  /// Optional telemetry sink. When set, the engine bumps the live
-  /// "progress.states" / "progress.frontier" slots during the search (unless
-  /// hot counters are compiled out) and publishes its final counters under
-  /// `metrics_prefix` before returning. Results are bit-identical with or
-  /// without a registry attached.
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Name prefix of the published counters, e.g. "engine.full.".
-  std::string metrics_prefix = "full.";
   /// Structural net reduction applied by explore() before the search: the
   /// exploration runs on the reduced net and the deadlock counterexample /
   /// witness are mapped back to the input net through the certificate
@@ -105,7 +113,9 @@ struct ExplorerResult {
   /// it is a sound lower bound only.
   util::Bitset fireable_transitions;
 
-  /// True when max_states/max_seconds stopped the search early.
+  /// True when max_states/max_seconds/cancellation stopped the search
+  /// early. The sequential search lowers max_states to fit its uint32 state
+  /// ids (reach::state_limit), so running out of ids also reports here.
   bool limit_hit = false;
   /// Which phase the limit interrupted ("exploration" for this engine; the
   /// reduced engines report their own phase names). Empty when !limit_hit.
@@ -119,10 +129,11 @@ struct ExplorerResult {
   petri::LabeledGraph graph;
 };
 
-/// Explores the reachable markings of a safe Petri net breadth-first.
-/// The instance is single-use per call but stateless between calls.
-/// With ExplorerOptions::num_threads > 1 (and build_graph off) the
-/// exploration runs on the sharded parallel engine instead.
+/// Explores the reachable markings of a safe Petri net breadth-first, on
+/// the sequential search core (reach/bfs_core.hpp) it shares with the
+/// stubborn-set engine. The instance is single-use per call but stateless
+/// between calls. With ExplorerOptions::num_threads > 1 (and build_graph
+/// off) the exploration runs on the sharded parallel engine instead.
 class ExplicitExplorer {
  public:
   explicit ExplicitExplorer(const petri::PetriNet& net,

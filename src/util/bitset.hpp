@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <functional>
 #include <initializer_list>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -36,6 +37,29 @@ class Bitset {
   Bitset(std::size_t size, std::initializer_list<std::size_t> bits)
       : Bitset(size) {
     for (std::size_t b : bits) set(b);
+  }
+
+  /// Creates a bitset of `size` bits from its storage words (bit i in word
+  /// i / kWordBits at bit i % kWordBits). Throws std::invalid_argument when
+  /// the word count does not match `size` or a bit at or past `size` is set.
+  Bitset(std::size_t size, std::span<const Word> words) : size_(size) {
+    assign_words(words);
+  }
+
+  /// Overwrites the bits from storage words, keeping size() and reusing the
+  /// capacity; same checks as the word-span constructor. Lets a hot loop
+  /// render packed markings into one scratch bitset without allocating.
+  void assign_words(std::span<const Word> words) {
+    const std::size_t n = (size_ + kWordBits - 1) / kWordBits;
+    if (words.size() != n)
+      throw std::invalid_argument("Bitset word count mismatch: " +
+                                  std::to_string(words.size()) + " vs " +
+                                  std::to_string(n));
+    if (n > 0 && size_ % kWordBits != 0 &&
+        (words[n - 1] >> (size_ % kWordBits)) != 0)
+      throw std::invalid_argument("Bitset words set bits past size " +
+                                  std::to_string(size_));
+    words_.assign(words.begin(), words.end());
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
@@ -76,6 +100,8 @@ class Bitset {
   /// instead of re-deriving them in every test().
   [[nodiscard]] Word word(std::size_t wi) const { return words_[wi]; }
   [[nodiscard]] std::size_t word_count() const { return words_.size(); }
+  /// All storage words, for packed stores that copy markings word-wise.
+  [[nodiscard]] std::span<const Word> words() const { return words_; }
 
   [[nodiscard]] bool none() const {
     for (Word w : words_)

@@ -153,5 +153,45 @@ TEST(Bitset, RandomizedBooleanAlgebra) {
   }
 }
 
+TEST(Bitset, FromWordsRoundTrips) {
+  std::mt19937 rng(11);
+  for (std::size_t n : {0u, 1u, 63u, 64u, 65u, 130u}) {
+    Bitset a(n);
+    for (std::size_t i = 0; i < n; ++i)
+      if (rng() % 3 == 0) a.set(i);
+    Bitset b(n, a.words());
+    EXPECT_EQ(a, b) << "n=" << n;
+    EXPECT_EQ(a.hash(), b.hash());
+    Bitset c(n);
+    c.assign_words(a.words());
+    EXPECT_EQ(a, c);
+  }
+}
+
+TEST(Bitset, FromWordsRejectsBitsPastSize) {
+  const Bitset::Word w[2] = {0, Bitset::Word{1} << 6};  // bit 70
+  EXPECT_NO_THROW(Bitset(71, std::span<const Bitset::Word>(w, 2)));
+  EXPECT_THROW(Bitset(70, std::span<const Bitset::Word>(w, 2)),
+               std::invalid_argument);
+  EXPECT_THROW(Bitset(65, std::span<const Bitset::Word>(w, 2)),
+               std::invalid_argument);
+  const Bitset::Word full = ~Bitset::Word{0};
+  EXPECT_NO_THROW(Bitset(64, std::span<const Bitset::Word>(&full, 1)));
+  EXPECT_THROW(Bitset(63, std::span<const Bitset::Word>(&full, 1)),
+               std::invalid_argument);
+}
+
+TEST(Bitset, FromWordsRejectsWrongWordCount) {
+  const Bitset::Word w[2] = {1, 0};
+  EXPECT_THROW(Bitset(64, std::span<const Bitset::Word>(w, 2)),
+               std::invalid_argument);
+  EXPECT_THROW(Bitset(129, std::span<const Bitset::Word>(w, 2)),
+               std::invalid_argument);
+  Bitset a(10, {3});
+  EXPECT_THROW(a.assign_words(std::span<const Bitset::Word>(w, 2)),
+               std::invalid_argument);
+  EXPECT_EQ(a, Bitset(10, {3}));  // unchanged after a rejected assign
+}
+
 }  // namespace
 }  // namespace gpo::util
